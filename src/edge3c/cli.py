@@ -19,7 +19,7 @@ from .bounds import cache_task_capacity
 from .errors import ConfigParseError, Edge3cError, InvalidConfigError
 from .model import load_config
 from .oracle import run_verification
-from .policy import baseline_policy, solve_optimal
+from .policy import solve_with_costs
 from .tradeoff import SweepSpec, rows_to_csv, sweep, turning_points
 from .units import format_hz, parse_quantity
 
@@ -86,9 +86,10 @@ def _json(payload: dict) -> str:
 
 def _cmd_solve(args) -> str:
     config = load_config(args.config)
-    solution = solve_optimal(config)
+    costs = route_costs(config)
+    solution = solve_with_costs(config, costs)
     payload = solution.to_dict()
-    payload["routes"] = route_costs(config).to_dict()
+    payload["routes"] = costs.to_dict()
     if args.human:
         payload["human"] = {
             "b_total": format_hz(solution.b_total_hz),
@@ -112,7 +113,8 @@ def _cmd_sweep(args) -> str:
 
 def _cmd_regions(args) -> str:
     config = load_config(args.config)
-    solution = solve_optimal(config)
+    costs = route_costs(config)
+    solution = solve_with_costs(config, costs)
     regime = solution.regime
     payload = {
         "regime": regime.label,
@@ -123,10 +125,9 @@ def _cmd_regions(args) -> str:
         "task_count": config.task_count,
         "cache_capacity_tasks": cache_task_capacity(
             config.device.cache_bits, config.task.input_remote_bits, config.task_count),
-        "routes": route_costs(config).to_dict(),
+        "routes": costs.to_dict(),
     }
     if args.human:
-        costs = route_costs(config)
         payload["human"] = {
             "b2": None if costs.b2 is None else format_hz(costs.b2),
             "b3": None if costs.b3 is None else format_hz(costs.b3),

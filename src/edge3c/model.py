@@ -146,6 +146,50 @@ def _finite(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
+def _nonneg(x) -> str | None:
+    if not _finite(x):
+        return "must be a finite number"
+    return "must be >= 0" if x < 0 else None
+
+
+def _pos(x) -> str | None:
+    if not _finite(x):
+        return "must be a finite number"
+    return "must be > 0" if x <= 0 else None
+
+
+def _finite_pos(x) -> str | None:
+    return None if _finite(x) and x > 0 else "must be a finite number > 0"
+
+
+def _finite_if_present(x) -> str | None:
+    return None if x is None or _finite(x) else "must be a finite number when present"
+
+
+#: section -> (field, rule) pairs, in field order; a rule gives the reason a
+#: value is invalid, or None
+_RULES = (
+    ("task", (("input_local_bits", _nonneg), ("input_remote_bits", _nonneg),
+              ("output_bits", _nonneg), ("cycles_per_bit", _nonneg),
+              ("deadline_s", _finite_pos))),
+    ("device", (("cpu_hz", _pos), ("switched_capacitance", _nonneg), ("cache_bits", _nonneg),
+                ("avg_power_w", _pos), ("uplink_psd", _pos))),
+    ("server", (("cpu_hz", _finite_pos), ("downlink_psd", _finite_pos))),
+    ("channel", (("gain", _finite_pos), ("noise_psd", _finite_pos),
+                 ("snr_up_db", _finite_if_present), ("snr_down_db", _finite_if_present))),
+)
+_FIELD_RULES = {f"{section}.{name}": rule for section, rules in _RULES for name, rule in rules}
+
+
+def field_violation(dotted: str, value) -> InvalidFieldError | None:
+    """The violation of one numeric field's own rule by ``value``, or None.
+
+    Rules that relate several fields are checked only by config_violations.
+    """
+    reason = _FIELD_RULES[dotted](value)
+    return None if reason is None else InvalidFieldError(dotted, reason)
+
+
 def config_violations(config: SystemConfig) -> list[InvalidFieldError]:
     """All invariant violations of the config, in field order. Empty means valid."""
     v: list[InvalidFieldError] = []
@@ -154,42 +198,19 @@ def config_violations(config: SystemConfig) -> list[InvalidFieldError]:
     if isinstance(config.task_count, int) and not isinstance(config.task_count, bool):
         _check(v, config.task_count >= 1, "task_count", "must be >= 1")
 
-    t = config.task
-    for name in ("input_local_bits", "input_remote_bits", "output_bits", "cycles_per_bit"):
-        x = getattr(t, name)
-        if not _finite(x):
-            v.append(InvalidFieldError(f"task.{name}", "must be a finite number"))
-        elif x < 0:
-            v.append(InvalidFieldError(f"task.{name}", "must be >= 0"))
-    if not _finite(t.deadline_s) or t.deadline_s <= 0:
-        v.append(InvalidFieldError("task.deadline_s", "must be a finite number > 0"))
+    for section, rules in _RULES:
+        values = getattr(config, section)
+        for name, rule in rules:
+            reason = rule(getattr(values, name))
+            if reason is not None:
+                v.append(InvalidFieldError(f"{section}.{name}", reason))
 
-    d = config.device
-    for name, lo in (("cpu_hz", "pos"), ("switched_capacitance", "nonneg"),
-                     ("cache_bits", "nonneg"), ("avg_power_w", "pos"), ("uplink_psd", "pos")):
-        x = getattr(d, name)
-        if not _finite(x):
-            v.append(InvalidFieldError(f"device.{name}", "must be a finite number"))
-        elif lo == "pos" and x <= 0:
-            v.append(InvalidFieldError(f"device.{name}", "must be > 0"))
-        elif lo == "nonneg" and x < 0:
-            v.append(InvalidFieldError(f"device.{name}", "must be >= 0"))
-
-    s = config.server
-    for name in ("cpu_hz", "downlink_psd"):
-        x = getattr(s, name)
-        if not _finite(x) or x <= 0:
-            v.append(InvalidFieldError(f"server.{name}", "must be a finite number > 0"))
-
-    ch = config.channel
-    for name in ("gain", "noise_psd"):
-        x = getattr(ch, name)
-        if not _finite(x) or x <= 0:
-            v.append(InvalidFieldError(f"channel.{name}", "must be a finite number > 0"))
-    for name in ("snr_up_db", "snr_down_db"):
-        x = getattr(ch, name)
-        if x is not None and not _finite(x):
-            v.append(InvalidFieldError(f"channel.{name}", "must be a finite number when present"))
+    # A local input that must be uploaded over a link whose spectral
+    # efficiency underflows to 0 has no finite uplink power (k2).
+    if not v and config.task.input_local_bits > 0 and uplink_spectral_efficiency(config) <= 0:
+        field = "device.uplink_psd" if config.channel.snr_up_db is None else "channel.snr_up_db"
+        v.append(InvalidFieldError(field, "gives an uplink spectral efficiency of 0, "
+                                          "but the local input must be uploaded"))
     return v
 
 

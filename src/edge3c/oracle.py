@@ -14,12 +14,11 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .bandwidth import DEFAULT_BANDWIDTH_CAP, route_costs
 from .bounds import REL_EPS, cache_task_capacity
 from .errors import InfeasibleError, InvalidFieldError, TooLargeError
 from .model import SystemConfig, validate_config
+from .parallel import ordered_map
 
 #: relative window within which two objective values count as tied
 TIE_REL = 1e-12
@@ -41,6 +40,8 @@ def enumerate_optimal(config: SystemConfig, limit: int = 5000,
     Filters the cache and power constraints and route feasibility directly;
     O(F^2) lattice, guarded by ``limit``.
     """
+    import numpy as np  # imported here so that commands other than verify never load numpy
+
     validate_config(config)
     f = config.task_count
     if f > limit:
@@ -152,7 +153,6 @@ def run_verification(trials: int = 1000, seed: int = 0,
     """Compare the closed-form policy against the enumeration oracle on
     ``trials`` stratified random configs; deterministic for a given seed
     regardless of worker count."""
-    from .parallel import ordered_map
     from .policy import solve_optimal
     from .sampling import sample_config
 

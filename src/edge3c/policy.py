@@ -44,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bandwidth import DEFAULT_BANDWIDTH_CAP, RouteCosts, route_costs
-from .bounds import cache_task_capacity, ceil_eps, floor_eps, power_within_budget
+from .bounds import REL_EPS, cache_task_capacity, ceil_eps, floor_eps, power_within_budget
 from .errors import InfeasibleError, InvalidCountsError, InvalidFieldError
 from .model import SystemConfig, validate_config
 
@@ -105,7 +105,6 @@ class Assignment:
 
 @dataclass(frozen=True)
 class _Analysis:
-    costs: RouteCosts
     x1: int
     x2: int
     x3: int
@@ -128,9 +127,9 @@ def _power_floor(f: int, qf: int, costs: RouteCosts) -> float:
     return f * k1
 
 
-def _analyze(config: SystemConfig, cap: float) -> _Analysis:
-    validate_config(config)
-    costs = route_costs(config, cap)
+def _analyze(config: SystemConfig, costs: RouteCosts) -> _Analysis:
+    """Closed-form counts, regime and binding constraints of a valid config
+    from its route costs."""
     f = config.task_count
     k1, k2 = costs.k1, costs.k2
     r2, r3 = costs.route12_feasible, costs.route3_feasible
@@ -142,7 +141,7 @@ def _analyze(config: SystemConfig, cap: float) -> _Analysis:
     if reachable < f:
         raise InfeasibleError("latency", "feasible routes cannot cover the task set")
     pmin = _power_floor(f, qf, costs)
-    if not pmin <= config.device.avg_power_w * (1.0 + 1e-9):
+    if not pmin <= config.device.avg_power_w * (1.0 + REL_EPS):
         raise InfeasibleError("power", "minimum achievable power exceeds the budget")
 
     k1_gt = k1 > k2
@@ -219,21 +218,28 @@ def _analyze(config: SystemConfig, cap: float) -> _Analysis:
         binding.add("latency")
     ordered = tuple(n for n in _BINDING_ORDER if n in binding)
 
-    return _Analysis(costs=costs, x1=x1, x2=x2, x3=x3, regime=regime, binding=ordered)
+    return _Analysis(x1=x1, x2=x2, x3=x3, regime=regime, binding=ordered)
 
 
-def solve_optimal(config: SystemConfig, cap: float = DEFAULT_BANDWIDTH_CAP) -> PolicySolution:
-    """Closed-form bandwidth-minimal route counts for the task set."""
-    a = _analyze(config, cap)
-    b_total = (a.costs.b2 * a.x2 if a.x2 else 0.0) + (a.costs.b3 * a.x3 if a.x3 else 0.0)
+def solve_with_costs(config: SystemConfig, costs: RouteCosts) -> PolicySolution:
+    """solve_optimal for a config already validated, from its route costs."""
+    a = _analyze(config, costs)
+    b_total = (costs.b2 * a.x2 if a.x2 else 0.0) + (costs.b3 * a.x3 if a.x3 else 0.0)
     return PolicySolution(x1=a.x1, x2=a.x2, x3=a.x3,
                           b_total_hz=b_total, b_avg_hz=b_total / config.task_count,
                           regime=a.regime, binding=a.binding)
 
 
+def solve_optimal(config: SystemConfig, cap: float = DEFAULT_BANDWIDTH_CAP) -> PolicySolution:
+    """Closed-form bandwidth-minimal route counts for the task set."""
+    validate_config(config)
+    return solve_with_costs(config, route_costs(config, cap))
+
+
 def classify_regime(config: SystemConfig, cap: float = DEFAULT_BANDWIDTH_CAP) -> Regime:
     """Which of the nine operating regions the config sits in (unique)."""
-    return _analyze(config, cap).regime
+    validate_config(config)
+    return _analyze(config, route_costs(config, cap)).regime
 
 
 def expand_assignment(x1: int, x2: int, x3: int, config: SystemConfig) -> Assignment:
@@ -253,45 +259,50 @@ def expand_assignment(x1: int, x2: int, x3: int, config: SystemConfig) -> Assign
     )
 
 
-def baseline_policy(kind: str, config: SystemConfig,
-                    cap: float = DEFAULT_BANDWIDTH_CAP) -> PolicySolution:
-    """Fixed reference policies: "mec_only" offloads everything,
-    "local_only" computes everything locally (cache first), "local_no_cache"
-    computes locally without using the cache."""
-    validate_config(config)
-    costs = route_costs(config, cap)
+def baseline_counts(kind: str, config: SystemConfig,
+                    costs: RouteCosts) -> tuple[int, int, int, float]:
+    """(x1, x2, x3, total bandwidth) of a baseline policy for a config already
+    validated, from its route costs; raises InfeasibleError when the baseline
+    cannot serve the task set."""
     f = config.task_count
     budget = config.device.avg_power_w
-    qf = cache_task_capacity(config.device.cache_bits, config.task.input_remote_bits, f) \
-        if costs.route1_feasible else 0
-
     if kind == "mec_only":
         if not costs.route3_feasible:
             raise InfeasibleError("latency", "offload route cannot meet the deadline")
         if not power_within_budget(costs.k1, costs.k2, 0, f, budget):
             raise InfeasibleError("power", "offloading every task exceeds the power budget")
-        x1, x2, x3 = 0, 0, f
-        b_total = costs.b3 * f
-    elif kind == "local_only":
-        x1 = qf
-        x2, x3 = f - x1, 0
+        return 0, 0, f, costs.b3 * f
+    if kind == "local_only":
+        x1 = cache_task_capacity(config.device.cache_bits, config.task.input_remote_bits, f) \
+            if costs.route1_feasible else 0
+        x2 = f - x1
         if x2 > 0 and not costs.route12_feasible:
             raise InfeasibleError("latency", "download-and-compute route cannot meet the deadline")
         if x2 == 0 and not costs.route1_feasible:
             raise InfeasibleError("latency", "local compute cannot meet the deadline")
         if not power_within_budget(costs.k1, costs.k2, f, 0, budget):
             raise InfeasibleError("power", "computing every task locally exceeds the power budget")
-        b_total = costs.b2 * x2 if x2 else 0.0
-    elif kind == "local_no_cache":
+        return x1, x2, 0, costs.b2 * x2 if x2 else 0.0
+    if kind == "local_no_cache":
         if not costs.route12_feasible:
             raise InfeasibleError("latency", "download-and-compute route cannot meet the deadline")
         if not power_within_budget(costs.k1, costs.k2, f, 0, budget):
             raise InfeasibleError("power", "computing every task locally exceeds the power budget")
-        x1, x2, x3 = 0, f, 0
-        b_total = costs.b2 * f
-    else:
-        raise InvalidFieldError("kind", f"unknown baseline {kind!r}")
+        return 0, f, 0, costs.b2 * f
+    raise InvalidFieldError("kind", f"unknown baseline {kind!r}")
 
+
+def baseline_policy(kind: str, config: SystemConfig,
+                    cap: float = DEFAULT_BANDWIDTH_CAP) -> PolicySolution:
+    """Fixed reference policies: "mec_only" offloads everything,
+    "local_only" computes everything locally (cache first), "local_no_cache"
+    computes locally without using the cache.
+
+    The regime reported is the config's own, so a baseline of a config whose
+    optimum is infeasible raises too."""
+    validate_config(config)
+    costs = route_costs(config, cap)
+    x1, x2, x3, b_total = baseline_counts(kind, config, costs)
     return PolicySolution(x1=x1, x2=x2, x3=x3, b_total_hz=b_total,
-                          b_avg_hz=b_total / f, regime=classify_regime(config, cap),
-                          binding=())
+                          b_avg_hz=b_total / config.task_count,
+                          regime=_analyze(config, costs).regime, binding=())

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .model import (
     ChannelParams,
     DeviceParams,
@@ -47,6 +45,8 @@ _NEEDS_F3 = {1, 4, 8}
 
 def sample_config(seed: int, trial: int) -> SystemConfig:
     """Validated random config targeting regime ``STRATA[trial % 9]``."""
+    import numpy as np  # imported here so that commands other than verify never load numpy
+
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(trial,))))
     stratum = trial % 9
     k1_gt = stratum <= 5

@@ -30,10 +30,15 @@ import math
 from dataclasses import dataclass, field
 
 from .bandwidth import DEFAULT_BANDWIDTH_CAP, route_costs
-from .errors import Edge3cError, InfeasibleError, InvalidConfigError, InvalidFieldError
-from .model import SystemConfig, downlink_spectral_efficiency, replace_field, validate_config
-from .parallel import ordered_map
-from .policy import PolicySolution, baseline_policy, solve_optimal
+from .errors import InfeasibleError, InvalidFieldError
+from .model import (
+    SystemConfig,
+    downlink_spectral_efficiency,
+    field_violation,
+    replace_field,
+    validate_config,
+)
+from .policy import PolicySolution, baseline_counts, solve_with_costs
 
 SWEEP_PARAMETERS = {
     "cache_bits": "device.cache_bits",
@@ -202,35 +207,42 @@ def grid_values(spec: SweepSpec) -> list[float]:
     return [spec.start + step * i for i in range(n)]
 
 
-def sweep(config: SystemConfig, spec: SweepSpec, cap: float = DEFAULT_BANDWIDTH_CAP,
-          threads: int | None = None) -> list[SweepRow]:
+def sweep(config: SystemConfig, spec: SweepSpec,
+          cap: float = DEFAULT_BANDWIDTH_CAP) -> list[SweepRow]:
     """Re-solve the policy over a value grid for one parameter.
 
-    Infeasible grid points become error rows, not gaps. Rows are computed
-    independently, so the result is identical for any worker count.
+    Infeasible grid points become error rows, not gaps, and so do values the
+    swept field's own rule rejects. The base config is validated once; each
+    point's route costs are computed once and give the optimum and every
+    baseline. A baseline cell is None when the baseline or the optimum is
+    infeasible.
     """
     validate_config(config)
     spec.validate()
     dotted = SWEEP_PARAMETERS[spec.parameter]
-
-    def one(value: float) -> SweepRow:
-        cfg = replace_field(config, dotted, value)
+    rows = []
+    for value in grid_values(spec):
         solution = None
         error = None
-        try:
-            solution = solve_optimal(cfg, cap)
-        except (InfeasibleError, InvalidConfigError) as exc:
-            error = exc.constraint if isinstance(exc, InfeasibleError) else "invalid_config"
-        baselines = {}
-        for kind in spec.baselines:
+        baselines = dict.fromkeys(spec.baselines)
+        if field_violation(dotted, value) is not None:
+            error = "invalid_config"
+        else:
+            cfg = replace_field(config, dotted, value)
+            costs = route_costs(cfg, cap)
             try:
-                baselines[kind] = baseline_policy(kind, cfg, cap).b_total_hz
-            except Edge3cError:
-                baselines[kind] = None
-        return SweepRow(parameter=spec.parameter, value=value, solution=solution,
-                        error=error, baselines=baselines)
-
-    return ordered_map(one, grid_values(spec), threads)
+                solution = solve_with_costs(cfg, costs)
+            except InfeasibleError as exc:
+                error = exc.constraint
+            else:
+                for kind in spec.baselines:
+                    try:
+                        baselines[kind] = baseline_counts(kind, cfg, costs)[3]
+                    except InfeasibleError:
+                        pass
+        rows.append(SweepRow(parameter=spec.parameter, value=value, solution=solution,
+                             error=error, baselines=baselines))
+    return rows
 
 
 def rows_to_csv(rows: list[SweepRow], baselines: tuple[str, ...] = ()) -> str:

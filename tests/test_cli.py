@@ -131,6 +131,34 @@ def test_thread_env_does_not_change_output():
     assert serial.stdout == threaded.stdout
 
 
+def numpy_loaded_after(*commands) -> bool:
+    """Whether a fresh interpreter has numpy loaded after running each CLI
+    command through edge3c.cli.main."""
+    script = ("import contextlib, io, sys\n"
+              "from edge3c.cli import main\n"
+              f"for argv in {[list(c) for c in commands]!r}:\n"
+              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+              "        code = main(argv)\n"
+              "    if code != 0:\n"
+              "        sys.exit(f'{argv} exited with {code}')\n"
+              "print('numpy' in sys.modules)\n")
+    env = dict(os.environ)
+    env.pop("EDGE3C_THREADS", None)
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    return {"True\n": True, "False\n": False}[res.stdout]
+
+
+def test_only_verify_loads_numpy():
+    assert not numpy_loaded_after(
+        ("solve", "--config", REFCFG),
+        ("regions", "--config", REFCFG, "--human"),
+        ("turning-points", "--config", REFCFG),
+        ("sweep", "--config", REFCFG, "--param", "device_cpu_hz", "--start", "2 GHz",
+         "--stop", "8 GHz", "--steps", "5", "--baselines", "mec_only,local_only,local_no_cache"))
+    assert numpy_loaded_after(("verify", "--trials", "2"))
+
+
 def test_bad_thread_env_rejected():
     res = run_cli("verify", "--trials", "2", "--seed", "0",
                   env_extra={"EDGE3C_THREADS": "zero"})

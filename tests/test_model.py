@@ -80,11 +80,15 @@ def test_k2_zero_without_local_input():
 
 def test_degenerate_uplink_with_local_input():
     # no dB override and zero psd: SE_up = 0 while bits must be uploaded.
-    # Unreachable through a validated config (psd must be positive there),
-    # so skip validation to exercise the guard.
+    # Unreachable through a validated config, so skip validation to exercise
+    # the guard.
     cfg = build_config(snr_up_db=None, uplink_psd=0.0, validate=False)
     with pytest.raises(DegenerateChannelError):
         power_coefficients(cfg)
+    # a positive psd whose SNR underflows to 0 is rejected by validation
+    with pytest.raises(InvalidConfigError) as info:
+        build_config(snr_up_db=None, uplink_psd=1e-300, gain=1e-150)
+    assert [v.field for v in info.value.violations] == ["device.uplink_psd"]
 
 
 def test_load_reference_config_units(reference_config):

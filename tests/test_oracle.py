@@ -1,10 +1,15 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
 from edge3c import (
     InfeasibleError,
+    InvalidConfigError,
     InvalidFieldError,
     TooLargeError,
+    config_from_dict,
     enumerate_optimal,
     enumerate_per_task,
     kkt_split,
@@ -14,7 +19,7 @@ from edge3c import (
     sample_config,
     solve_optimal,
 )
-from conftest import build_config, power_floor_config
+from conftest import CONFIG_DIR, build_config, power_floor_config
 
 
 def test_enumeration_matches_constructed_optimum():
@@ -139,3 +144,27 @@ def test_run_verification_report():
     assert rep["failures"] == []
     # deterministic irrespective of worker count
     assert run_verification(trials=27, seed=4, threads=3) == rep
+
+
+def test_dead_uplink_rejected_by_both_solvers(reference_config):
+    # -4000 dB underflows the uplink spectral efficiency to 0 while 1 Mbit per
+    # task must be uploaded, so no finite uplink power exists
+    raw = json.loads((CONFIG_DIR / "reference.json").read_text())
+    raw["channel"]["snr_up_db"] = -4000
+    with pytest.raises(InvalidConfigError) as info:
+        config_from_dict(raw)
+    assert [v.field for v in info.value.violations] == ["channel.snr_up_db"]
+
+    dead = dataclasses.replace(
+        reference_config, channel=dataclasses.replace(reference_config.channel, snr_up_db=-4000.0))
+    for solver in (solve_optimal, enumerate_optimal):
+        with pytest.raises(InvalidConfigError) as info:
+            solver(dead)
+        assert [v.field for v in info.value.violations] == ["channel.snr_up_db"]
+
+    # with nothing to upload the dead link is harmless, and both solvers agree
+    no_upload = dataclasses.replace(
+        dead, task=dataclasses.replace(dead.task, input_local_bits=0.0))
+    closed, lattice = solve_optimal(no_upload), enumerate_optimal(no_upload)
+    assert (closed.x1, closed.x2, closed.x3) == (lattice.x1, lattice.x2, lattice.x3)
+    assert closed.b_total_hz == lattice.b_total_hz

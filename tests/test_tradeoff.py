@@ -4,19 +4,25 @@ import numpy as np
 import pytest
 
 from edge3c import (
+    Edge3cError,
+    InfeasibleError,
+    InvalidConfigError,
     InvalidFieldError,
     SweepSpec,
+    baseline_policy,
     cache_power_balance_cpu_hz,
     detect_breakpoints,
     download_offload_crossover_cpu_hz,
     grid_values,
     power_saturation_cpu_hz,
+    replace_field,
     route_costs,
     rows_to_csv,
+    solve_optimal,
     sweep,
     turning_points,
 )
-from edge3c.tradeoff import INF_TOKEN, SWEEP_PARAMETERS, SweepRow
+from edge3c.tradeoff import BASELINE_KINDS, INF_TOKEN, SWEEP_PARAMETERS, SweepRow
 from conftest import build_config
 
 # 50-digit evaluations of the three turning points of the reference config
@@ -191,11 +197,44 @@ def test_csv_schema_and_tokens():
     assert text == rows_to_csv(rows, spec.baselines)  # pure function
 
 
-def test_sweep_thread_count_invariance():
-    spec = SweepSpec("device_cpu_hz", 1.0, 5.0, 9)
-    serial = rows_to_csv(sweep(build_config(), spec))
-    threaded = rows_to_csv(sweep(build_config(), spec, threads=4))
-    assert serial == threaded
+#: (parameter, start, stop): each grid crosses several regimes and, on both
+#: shipped configs, reaches infeasible points (or invalid ones, below 0 bits)
+EQUIVALENCE_GRIDS = (
+    ("cache_bits", -1e9, 4e9),
+    ("device_cpu_hz", 5e8, 6e10),
+    ("avg_power_w", 0.5, 100.0),
+    ("deadline_s", 0.005, 1.0),
+)
+
+
+@pytest.mark.parametrize("config_name", ["reference", "relaxed_deadline"])
+def test_sweep_matches_per_point_public_calls(config_name, request):
+    config = request.getfixturevalue(f"{config_name}_config")
+    errors = set()
+    for param, start, stop in EQUIVALENCE_GRIDS:
+        for log_scale in (False, True):
+            lo = 1e6 if log_scale and start <= 0 else start
+            spec = SweepSpec(param, lo, stop, 60, baselines=BASELINE_KINDS, log_scale=log_scale)
+            rows = sweep(config, spec)
+            assert [r.value for r in rows] == grid_values(spec)
+            for row in rows:
+                cfg = replace_field(config, SWEEP_PARAMETERS[param], row.value)
+                try:
+                    expected, error = solve_optimal(cfg), None
+                except InfeasibleError as exc:
+                    expected, error = None, exc.constraint
+                except InvalidConfigError:
+                    expected, error = None, "invalid_config"
+                assert repr(row.solution) == repr(expected)
+                assert row.error == error
+                errors.add(error)
+                for kind in BASELINE_KINDS:
+                    try:
+                        want = baseline_policy(kind, cfg).b_total_hz
+                    except Edge3cError:
+                        want = None
+                    assert repr(row.baselines[kind]) == repr(want)
+    assert errors == {None, "invalid_config", "power", "latency"}
 
 
 def test_detect_breakpoints_on_power_sweep():
