@@ -67,11 +67,16 @@ class RouteCosts:
     route3_feasible: bool
 
     def to_dict(self) -> dict:
+        """JSON-ready fields. A non-finite float, such as the transfer cost a2
+        over a dead downlink, becomes None, because JSON has no Infinity."""
+        def finite(x: float | None) -> float | None:
+            return x if x is not None and math.isfinite(x) else None
+
         return {
             "b1_hz": self.b1, "b2_hz": self.b2, "b3_hz": self.b3,
             "b3_up_hz": self.bu3, "b3_down_hz": self.bd3,
-            "a1_hz_s": self.a1, "a2_hz_s": self.a2, "a3_s": self.a3,
-            "k1_w": self.k1, "k2_w": self.k2,
+            "a1_hz_s": finite(self.a1), "a2_hz_s": finite(self.a2), "a3_s": finite(self.a3),
+            "k1_w": finite(self.k1), "k2_w": finite(self.k2),
             "route1_feasible": self.route1_feasible,
             "route12_feasible": self.route12_feasible,
             "route3_feasible": self.route3_feasible,

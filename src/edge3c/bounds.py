@@ -42,5 +42,8 @@ def cache_task_capacity(cache_bits: float, input_remote_bits: float, task_count:
 def power_within_budget(k1: float, k2: float, x_local: int, x_offload: int,
                         budget_w: float, rel: float = REL_EPS) -> bool:
     """Whether a mix of x_local locally-computed and x_offload offloaded tasks
-    fits the average power budget, with the package-wide relative tolerance."""
+    fits the average power budget, with the package-wide relative tolerance.
+
+    Given numpy integer arrays for the counts, it applies elementwise and
+    returns a boolean array."""
     return k1 * x_local + k2 * x_offload <= budget_w * (1.0 + rel) + 1e-300

@@ -83,11 +83,13 @@ class InvalidCountsError(Edge3cError):
 
 
 class TooLargeError(Edge3cError):
-    """Task count exceeds the guard limit of an exhaustive oracle."""
+    """A size input exceeds its guard limit: an exhaustive oracle's task
+    count, or a command's trial or step count."""
 
     code = "too_large"
 
-    def __init__(self, task_count: int, limit: int):
-        self.task_count = task_count
+    def __init__(self, field: str, value: int, limit: int):
+        self.field = field
+        self.value = value
         self.limit = limit
-        super().__init__(f"task_count {task_count} exceeds oracle limit {limit}")
+        super().__init__(f"{field} {value} exceeds the limit {limit}")

@@ -99,7 +99,13 @@ def spectral_efficiency(psd: float, gain: float, noise_psd: float) -> float:
 def snr_db_to_spectral_efficiency(snr_db: float) -> float:
     if not math.isfinite(snr_db):
         raise InvalidFieldError("snr_db", "must be finite")
-    return math.log1p(10.0 ** (snr_db / 10.0)) / _LN2
+    try:
+        snr = 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        # past float range (above about 3083 dB), log2(1 + snr) equals
+        # log2(snr) to double precision
+        return snr_db / 10.0 * math.log2(10.0)
+    return math.log1p(snr) / _LN2
 
 
 def uplink_spectral_efficiency(config: SystemConfig) -> float:

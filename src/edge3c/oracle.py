@@ -1,7 +1,8 @@
 """Brute-force reference solvers used to validate the closed forms.
 
 Nothing here shares algorithmic structure with the policy module: the count
-oracle enumerates the whole (x1, x2) lattice, the per-task oracle enumerates
+oracle enumerates every (x1, x2) cell that the one-coordinate constraints
+allow, the per-task oracle enumerates
 every route assignment of every task, and the bandwidth-split oracle runs a
 one-dimensional golden-section search. They do share the package's boundary
 conventions (epsilon floor for the cache capacity, power tolerance), so a
@@ -14,14 +15,18 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .bandwidth import DEFAULT_BANDWIDTH_CAP, route_costs
-from .bounds import REL_EPS, cache_task_capacity
+from .bandwidth import DEFAULT_BANDWIDTH_CAP, RouteCosts, route_costs
+from .bounds import REL_EPS, cache_task_capacity, power_within_budget
 from .errors import InfeasibleError, InvalidFieldError, TooLargeError
 from .model import SystemConfig, validate_config
 from .parallel import ordered_map
 
 #: relative window within which two objective values count as tied
 TIE_REL = 1e-12
+
+#: largest ``trials`` run_verification accepts: ten times the paper's
+#: 10,000-config check, holding about 20 MiB of per-trial results
+MAX_TRIALS = 100_000
 
 
 @dataclass(frozen=True)
@@ -33,36 +38,41 @@ class OracleSolution:
     num_optima: int  # count of objective-tied count vectors (within TIE_REL)
 
 
-def enumerate_optimal(config: SystemConfig, limit: int = 5000,
-                      cap: float = DEFAULT_BANDWIDTH_CAP) -> OracleSolution:
+def enumerate_optimal(config: SystemConfig, limit: int = 2000,
+                      cap: float = DEFAULT_BANDWIDTH_CAP,
+                      costs: RouteCosts | None = None) -> OracleSolution:
     """Exhaustive minimum over all count triples (x1, x2, x3) summing to F.
 
-    Filters the cache and power constraints and route feasibility directly;
-    O(F^2) lattice, guarded by ``limit``.
+    Enumerates the box of (x1, x2) rows and columns that the one-coordinate
+    constraints allow (x1 <= Q, and x1 = 0 or x2 = 0 when route 1 or the
+    local routes miss the deadline), then checks x3 = F - x1 - x2 and the
+    power budget on every cell. The box is a leading block of the full
+    (F+1)^2 lattice in row-major order, so the first optimum found is the
+    full lattice's first optimum. Time and memory are O(F^2): memory peaks
+    at about 33 bytes per box cell, so about 126 MiB at the default
+    ``limit`` of F = 2000.
+
+    ``costs`` are the route costs of a config the caller has already
+    validated; given them, the config is neither validated again nor costed.
     """
     import numpy as np  # imported here so that commands other than verify never load numpy
 
-    validate_config(config)
+    if costs is None:
+        validate_config(config)
     f = config.task_count
     if f > limit:
-        raise TooLargeError(f, limit)
-    costs = route_costs(config, cap)
-    budget = config.device.avg_power_w
-
-    x1g, x2g = np.meshgrid(np.arange(f + 1), np.arange(f + 1), indexing="ij")
-    x3g = f - x1g - x2g
-    valid = x3g >= 0
+        raise TooLargeError("task_count", f, limit)
+    if costs is None:
+        costs = route_costs(config, cap)
 
     qf = cache_task_capacity(config.device.cache_bits, config.task.input_remote_bits, f)
-    valid &= x1g <= qf
-    if not costs.route1_feasible:
-        valid &= x1g == 0
-    if not costs.route12_feasible:
-        valid &= x2g == 0
-    if not costs.route3_feasible:
-        valid &= x3g == 0
-    power = costs.k1 * (x1g + x2g) + costs.k2 * x3g
-    valid &= power <= budget * (1.0 + REL_EPS) + 1e-300
+    n1 = qf + 1 if costs.route1_feasible else 1
+    n2 = f + 1 if costs.route12_feasible else 1
+    x1 = np.arange(n1)[:, None]
+    x2 = np.arange(n2)[None, :]
+    x3 = f - x1 - x2
+    valid = x3 >= 0 if costs.route3_feasible else x3 == 0
+    valid &= power_within_budget(costs.k1, costs.k2, x1 + x2, x3, config.device.avg_power_w)
 
     if not valid.any():
         # distinguish the two ways of having no feasible vector; cached tasks
@@ -75,13 +85,12 @@ def enumerate_optimal(config: SystemConfig, limit: int = 5000,
 
     b2 = costs.b2 if costs.b2 is not None else 0.0
     b3 = costs.b3 if costs.b3 is not None else 0.0
-    objective = b2 * x2g + b3 * x3g
-    objective[~valid] = np.inf
+    objective = np.where(valid, b2 * x2 + b3 * x3, np.inf)
     flat = int(np.argmin(objective))
     best = float(objective.flat[flat])
     ties = objective <= best + TIE_REL * max(1.0, abs(best))
-    x1, x2 = flat // (f + 1), flat % (f + 1)
-    return OracleSolution(x1=int(x1), x2=int(x2), x3=int(f - x1 - x2),
+    x1_best, x2_best = divmod(flat, n2)
+    return OracleSolution(x1=x1_best, x2=x2_best, x3=f - x1_best - x2_best,
                           b_total_hz=best, num_optima=int(ties.sum()))
 
 
@@ -95,7 +104,7 @@ def enumerate_per_task(config: SystemConfig, limit: int = 10,
     validate_config(config)
     f = config.task_count
     if f > limit:
-        raise TooLargeError(f, limit)
+        raise TooLargeError("task_count", f, limit)
     costs = route_costs(config, cap)
     t = config.task
     budget = config.device.avg_power_w
@@ -152,14 +161,24 @@ def run_verification(trials: int = 1000, seed: int = 0,
                      threads: int | None = None, tolerance: float = 1e-9) -> dict:
     """Compare the closed-form policy against the enumeration oracle on
     ``trials`` stratified random configs; deterministic for a given seed
-    regardless of worker count."""
-    from .policy import solve_optimal
+    regardless of worker count.
+
+    ``trials`` must lie in [1, MAX_TRIALS]; it is checked before any config
+    is drawn.
+    """
+    from .policy import solve_with_costs
     from .sampling import sample_config
 
+    if trials < 1:
+        raise InvalidFieldError("trials", "must be >= 1")
+    if trials > MAX_TRIALS:
+        raise TooLargeError("trials", trials, MAX_TRIALS)
+
     def one(trial: int) -> tuple[float, str]:
-        config = sample_config(seed, trial)
-        solved = solve_optimal(config)
-        reference = enumerate_optimal(config)
+        config = sample_config(seed, trial)  # already validated
+        costs = route_costs(config)
+        solved = solve_with_costs(config, costs)
+        reference = enumerate_optimal(config, costs=costs)
         return relative_error(solved.b_total_hz, reference.b_total_hz), solved.regime.label
 
     results = ordered_map(one, range(trials), threads)

@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass, field
 
 from .bandwidth import DEFAULT_BANDWIDTH_CAP, route_costs
-from .errors import InfeasibleError, InvalidFieldError
+from .errors import InfeasibleError, InvalidFieldError, TooLargeError
 from .model import (
     SystemConfig,
     downlink_spectral_efficiency,
@@ -51,6 +51,11 @@ BASELINE_KINDS = ("mec_only", "local_only", "local_no_cache")
 
 #: literal token emitted for infeasible cells in CSV output
 INF_TOKEN = "INF"
+
+#: largest ``steps`` a sweep accepts: a hundred times the paper's 1,000-step
+#: CPU sweep; the rows and CSV text of a sweep with all three baselines take
+#: about 1.2 KiB per step, so about 120 MiB at the cap
+MAX_SWEEP_STEPS = 100_000
 
 
 @dataclass(frozen=True)
@@ -181,6 +186,8 @@ class SweepSpec:
             raise InvalidFieldError("start/stop", "start must be < stop")
         if self.steps < 2:
             raise InvalidFieldError("steps", "must be >= 2")
+        if self.steps > MAX_SWEEP_STEPS:
+            raise TooLargeError("steps", self.steps, MAX_SWEEP_STEPS)
         if self.log_scale and self.start <= 0:
             raise InvalidFieldError("start", "must be > 0 for a log-scale grid")
         for b in self.baselines:

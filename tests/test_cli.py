@@ -164,3 +164,53 @@ def test_bad_thread_env_rejected():
                   env_extra={"EDGE3C_THREADS": "zero"})
     assert res.returncode == 1
     assert json.loads(res.stdout)["error"] == "invalid_field"
+
+
+def strict_json(text):
+    """json.loads that refuses the non-standard NaN and Infinity tokens."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("argv, error", [
+    (("verify", "--trials", "-3"), "invalid_field"),
+    (("verify", "--trials", "0"), "invalid_field"),
+    (("verify", "--trials", "100001"), "too_large"),
+    (("sweep", "--config", REFCFG, "--param", "device_cpu_hz", "--start", "2 GHz",
+      "--stop", "8 GHz", "--steps", "100001"), "too_large"),
+])
+def test_trial_and_step_bounds_checked_before_any_work(monkeypatch, capsys, argv, error):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the size check")
+
+    monkeypatch.setattr("edge3c.sampling.sample_config", no_work)
+    monkeypatch.setattr("edge3c.tradeoff.route_costs", no_work)
+    assert main(list(argv)) == 1
+    assert strict_json(capsys.readouterr().out)["error"] == error
+
+
+def test_huge_snr_solves_without_traceback(tmp_path):
+    raw = json.loads((CONFIG_DIR / "reference.json").read_text())
+    raw["channel"]["snr_up_db"] = 4000
+    path = tmp_path / "huge_snr.json"
+    path.write_text(json.dumps(raw))
+    res = run_cli("solve", "--config", str(path))
+    assert b"Traceback" not in res.stderr
+    assert res.returncode == 0
+    assert strict_json(res.stdout)["routes"]["a1_hz_s"] > 0
+
+
+def test_dead_downlink_prints_valid_json(tmp_path, capsys):
+    # a -4000 dB downlink has spectral efficiency 0, so the output transfer
+    # cost a2 is infinite; a cache holding every task still solves
+    raw = json.loads((CONFIG_DIR / "reference.json").read_text())
+    raw["channel"]["snr_down_db"] = -4000
+    raw["device"]["cache_bits"] = "1 GB"
+    path = tmp_path / "dead_downlink.json"
+    path.write_text(json.dumps(raw))
+    for command in ("solve", "regions"):
+        assert main([command, "--config", str(path)]) == 0
+        out = strict_json(capsys.readouterr().out)
+        assert out["routes"]["a2_hz_s"] is None
+        assert out["routes"]["route3_feasible"] is False

@@ -1,0 +1,111 @@
+"""Differential fuzz: the closed form against the lattice oracle, and the
+lattice oracle against the per-task oracle, on an unstratified sampler.
+
+The stratified sampler behind verify draws only feasible configs. This one
+also draws what it never reaches: zero payloads, an empty cache, zero
+switched capacitance, links from -30 to 40 dB, compute times on both sides
+of the deadline on each route, and power budgets on both sides of the floor.
+"""
+
+import dataclasses
+import random
+from collections import Counter
+
+from edge3c import (
+    ChannelParams,
+    DeviceParams,
+    InfeasibleError,
+    ServerParams,
+    SystemConfig,
+    TaskSpec,
+    enumerate_optimal,
+    enumerate_per_task,
+    power_coefficients,
+    relative_error,
+    route_costs,
+    solve_optimal,
+    validate_config,
+)
+
+SEED = 20201
+COUNT = 4000
+PER_TASK_MAX_F = 6
+
+
+def fuzz_config(rng: random.Random) -> SystemConfig:
+    """A valid config with F in [1, 60], drawn without targeting any regime."""
+    f = rng.randint(1, 60)
+
+    def payload() -> float:
+        return 0.0 if rng.random() < 0.15 else 10.0 ** rng.uniform(3.0, 7.0)
+
+    i_local, i_remote, out_bits = payload(), payload(), payload()
+    w = 0.0 if rng.random() < 0.05 else rng.uniform(1.0, 20.0)
+    tau = 10.0 ** rng.uniform(-2.0, 0.0)
+    work = (i_local + i_remote) * w or 1e9
+
+    def cpu_hz() -> float:
+        # compute time between 3% and 200% of the deadline
+        return work / (tau * 10.0 ** rng.uniform(-1.5, 0.3))
+
+    if rng.random() < 0.2:
+        cache = 0.0
+    elif i_remote > 0:
+        cache = rng.uniform(0.0, f + 2.0) * i_remote
+    else:
+        cache = 10.0 ** rng.uniform(3.0, 9.0)
+    config = SystemConfig(
+        task_count=f,
+        task=TaskSpec(input_local_bits=i_local, input_remote_bits=i_remote,
+                      output_bits=out_bits, cycles_per_bit=w, deadline_s=tau),
+        device=DeviceParams(cpu_hz=cpu_hz(),
+                            switched_capacitance=0.0 if rng.random() < 0.1
+                            else 10.0 ** rng.uniform(-29.0, -26.0),
+                            cache_bits=cache, avg_power_w=1.0,
+                            uplink_psd=10.0 ** rng.uniform(-8.0, -5.0)),
+        server=ServerParams(cpu_hz=cpu_hz(), downlink_psd=1e-6),
+        channel=ChannelParams(gain=1.0, noise_psd=1e-9,
+                              snr_up_db=rng.uniform(-30.0, 40.0),
+                              snr_down_db=rng.uniform(-30.0, 40.0)),
+    )
+    # budget from a tenth to twice the dearer all-one-route draw
+    k1, k2 = power_coefficients(config)
+    scale = f * max(k1, k2)
+    budget = scale * 10.0 ** rng.uniform(-1.0, 0.3) if scale > 0 else 10.0 ** rng.uniform(-3.0, 1.0)
+    return validate_config(dataclasses.replace(
+        config, device=dataclasses.replace(config.device, avg_power_w=budget)))
+
+
+def outcome(solver, config) -> tuple[str, float | None]:
+    """("solved", total bandwidth) or (infeasible constraint, None)."""
+    try:
+        return "solved", solver(config).b_total_hz
+    except InfeasibleError as exc:
+        return exc.constraint, None
+
+
+def assert_agree(a, b, config, names):
+    assert a[0] == b[0], (names, a, b, config)
+    if a[0] == "solved":
+        assert relative_error(a[1], b[1]) <= 1e-9, (names, a, b, config)
+
+
+def test_closed_form_and_oracles_agree_on_unstratified_configs():
+    rng = random.Random(SEED)
+    seen = Counter()
+    for _ in range(COUNT):
+        config = fuzz_config(rng)
+        costs = route_costs(config)
+        seen["route 1 infeasible"] += not costs.route1_feasible
+        seen["route 1+2 infeasible"] += not costs.route12_feasible
+        seen["route 3 infeasible"] += not costs.route3_feasible
+        lattice = outcome(enumerate_optimal, config)
+        seen[lattice[0]] += 1
+        assert_agree(outcome(solve_optimal, config), lattice, config, "closed form vs lattice")
+        if config.task_count <= PER_TASK_MAX_F:
+            seen["per-task"] += 1
+            assert_agree(lattice, outcome(enumerate_per_task, config), config, "lattice vs per-task")
+    # every restriction of the lattice box, and both infeasibility classes, occurred
+    for branch in ("route 1 infeasible", "route 1+2 infeasible", "route 3 infeasible",
+                   "latency", "power", "solved", "per-task"):
+        assert seen[branch] > 0, (branch, seen)

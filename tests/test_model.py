@@ -52,6 +52,15 @@ def test_snr_db_conversion_golden():
     assert math.isclose(snr_db_to_spectral_efficiency(28.1573), SE_DOWN_28_1573_DB, rel_tol=1e-12)
 
 
+def test_snr_db_conversion_past_float_range():
+    # 10 ** (dB / 10) overflows above about 3083 dB; the result stays finite
+    # and continuous across that edge
+    assert snr_db_to_spectral_efficiency(4000.0) == 400.0 * math.log2(10.0)
+    below, above = snr_db_to_spectral_efficiency(3082.0), snr_db_to_spectral_efficiency(3084.0)
+    assert math.isclose(above - below, 0.2 * math.log2(10.0), rel_tol=1e-9)
+    assert math.isfinite(snr_db_to_spectral_efficiency(1.7e308))
+
+
 def test_db_override_beats_psd_triple():
     cfg = build_config(uplink_psd=123.0, downlink_psd=456.0, noise_psd=7.0)
     assert uplink_spectral_efficiency(cfg) == 1.0  # 0 dB override

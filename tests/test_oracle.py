@@ -15,6 +15,7 @@ from edge3c import (
     kkt_split,
     numeric_bandwidth_split,
     relative_error,
+    route_costs,
     run_verification,
     sample_config,
     solve_optimal,
@@ -61,8 +62,30 @@ def test_per_task_agrees_with_lattice_and_closed_form():
 def test_guard_limits():
     with pytest.raises(TooLargeError):
         enumerate_optimal(build_config(task_count=5001))
+    with pytest.raises(TooLargeError) as info:
+        enumerate_optimal(build_config(task_count=2001))
+    assert str(info.value) == "task_count 2001 exceeds the limit 2000"
     with pytest.raises(TooLargeError):
         enumerate_per_task(build_config(task_count=11))
+
+
+def test_verification_validates_and_costs_each_trial_once(monkeypatch):
+    # the sampler returns validated configs; neither solver validates again,
+    # and both work from one route_costs result
+    def no_validation(config):
+        raise AssertionError("a sampled config was validated again")
+
+    costed = []
+
+    def counting_route_costs(config, *args):
+        costed.append(config)
+        return route_costs(config, *args)
+
+    monkeypatch.setattr("edge3c.oracle.validate_config", no_validation)
+    monkeypatch.setattr("edge3c.policy.validate_config", no_validation)
+    monkeypatch.setattr("edge3c.oracle.route_costs", counting_route_costs)
+    assert run_verification(trials=9, seed=4)["pass"] is True
+    assert len(costed) == 9
 
 
 def test_oracles_agree_on_power_infeasibility():

@@ -22,7 +22,7 @@ from edge3c import (
     sweep,
     turning_points,
 )
-from edge3c.tradeoff import BASELINE_KINDS, INF_TOKEN, SWEEP_PARAMETERS, SweepRow
+from edge3c.tradeoff import BASELINE_KINDS, INF_TOKEN, MAX_SWEEP_STEPS, SWEEP_PARAMETERS, SweepRow
 from conftest import build_config
 
 # 50-digit evaluations of the three turning points of the reference config
@@ -157,6 +157,7 @@ def test_sweep_spec_validation():
     with pytest.raises(InvalidFieldError):
         SweepSpec("avg_power_w", 0.0, 1.0, 3, baselines=("nope",)).validate()
     assert set(SWEEP_PARAMETERS) == {"cache_bits", "device_cpu_hz", "avg_power_w", "deadline_s"}
+    assert SweepSpec("avg_power_w", 0.0, 1.0, MAX_SWEEP_STEPS).validate().steps == MAX_SWEEP_STEPS
 
 
 def test_power_sweep_rows():
