@@ -16,12 +16,8 @@ from .bandwidth import (
     RouteCosts,
     kkt_split,
     local_compute_latency,
-    route1_bandwidth,
-    route2_bandwidth,
-    route3_bandwidth,
     route_costs,
     route_latency,
-    route_power,
     server_compute_latency,
 )
 from .bounds import cache_task_capacity, ceil_eps, floor_eps, power_within_budget
@@ -31,9 +27,7 @@ from .errors import (
     Edge3cError,
     InfeasibleError,
     InvalidConfigError,
-    InvalidCountsError,
     InvalidFieldError,
-    RouteInfeasibleError,
     TooLargeError,
 )
 from .model import (
@@ -63,12 +57,11 @@ from .oracle import (
 )
 from .policy import (
     REGIME_LABELS,
-    Assignment,
+    REGIMES,
     PolicySolution,
     Regime,
     baseline_policy,
     classify_regime,
-    expand_assignment,
     solve_optimal,
 )
 from .sampling import sample_config
@@ -87,7 +80,7 @@ from .tradeoff import (
     sweep,
     turning_points,
 )
-from .units import format_bits, format_hz, format_seconds, format_watts, parse_quantity
+from .units import format_hz, parse_quantity
 
 __all__ = [
     "__version__",
@@ -95,7 +88,7 @@ __all__ = [
     "DEFAULT_BANDWIDTH_CAP",
     "INF_TOKEN",
     "REGIME_LABELS",
-    "Assignment",
+    "REGIMES",
     "ChannelParams",
     "ConfigParseError",
     "DegenerateChannelError",
@@ -103,13 +96,11 @@ __all__ = [
     "Edge3cError",
     "InfeasibleError",
     "InvalidConfigError",
-    "InvalidCountsError",
     "InvalidFieldError",
     "OracleSolution",
     "PolicySolution",
     "Regime",
     "RouteCosts",
-    "RouteInfeasibleError",
     "ServerParams",
     "SweepRow",
     "SweepSpec",
@@ -129,12 +120,8 @@ __all__ = [
     "downlink_spectral_efficiency",
     "enumerate_optimal",
     "enumerate_per_task",
-    "expand_assignment",
     "floor_eps",
-    "format_bits",
     "format_hz",
-    "format_seconds",
-    "format_watts",
     "grid_values",
     "kkt_split",
     "load_config",
@@ -146,12 +133,8 @@ __all__ = [
     "power_within_budget",
     "relative_error",
     "replace_field",
-    "route1_bandwidth",
-    "route2_bandwidth",
-    "route3_bandwidth",
     "route_costs",
     "route_latency",
-    "route_power",
     "run_verification",
     "sample_config",
     "server_compute_latency",

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateChannelError, InvalidFieldError, RouteInfeasibleError
+from .errors import DegenerateChannelError, InvalidFieldError
 from .model import (
     SystemConfig,
     downlink_spectral_efficiency,
@@ -93,31 +93,6 @@ def server_compute_latency(config: SystemConfig) -> float:
     return (t.input_local_bits + t.input_remote_bits) * t.cycles_per_bit / config.server.cpu_hz
 
 
-def route1_bandwidth(config: SystemConfig) -> float:
-    """0 Hz; the route exists only while local compute fits the deadline (boundary included)."""
-    if local_compute_latency(config) > config.task.deadline_s:
-        raise RouteInfeasibleError(1, "local compute time exceeds the deadline")
-    return 0.0
-
-
-def route2_bandwidth(config: SystemConfig, cap: float = DEFAULT_BANDWIDTH_CAP) -> float:
-    t = config.task
-    slack = t.deadline_s - local_compute_latency(config)
-    if t.input_remote_bits == 0:
-        if slack < 0:
-            raise RouteInfeasibleError(2, "local compute time exceeds the deadline")
-        return 0.0
-    if slack <= 0:
-        raise RouteInfeasibleError(2, "no time left to download after local compute")
-    se_down = downlink_spectral_efficiency(config)
-    if se_down <= 0:
-        raise RouteInfeasibleError(2, "downlink spectral efficiency is 0")
-    b2 = t.input_remote_bits / (slack * se_down)
-    if b2 > cap:
-        raise RouteInfeasibleError(2, f"required bandwidth {b2:.3e} Hz exceeds the cap {cap:.3e} Hz")
-    return b2
-
-
 def kkt_split(a1: float, a2: float, a3: float) -> tuple[float, float]:
     """Bandwidth-minimal (uplink, downlink) split for transfer costs a1, a2
     within air time a3. Degenerate legs (a1 or a2 zero) get exactly 0."""
@@ -129,33 +104,6 @@ def kkt_split(a1: float, a2: float, a3: float) -> tuple[float, float]:
         return 0.0, 0.0
     g = math.sqrt(a1 * a2)
     return (a1 + g) / a3, (a2 + g) / a3
-
-
-def route3_bandwidth(config: SystemConfig, cap: float = DEFAULT_BANDWIDTH_CAP) -> tuple[float, float, float]:
-    """(total, uplink, downlink) bandwidth of the offload route."""
-    t = config.task
-    a3 = t.deadline_s - server_compute_latency(config)
-    if a3 <= 0:
-        raise RouteInfeasibleError(3, "no air time left around the server compute")
-    if t.input_local_bits > 0:
-        se_up = uplink_spectral_efficiency(config)
-        if se_up <= 0:
-            raise RouteInfeasibleError(3, "uplink spectral efficiency is 0")
-        a1 = t.input_local_bits / se_up
-    else:
-        a1 = 0.0
-    if t.output_bits > 0:
-        se_down = downlink_spectral_efficiency(config)
-        if se_down <= 0:
-            raise RouteInfeasibleError(3, "downlink spectral efficiency is 0")
-        a2 = t.output_bits / se_down
-    else:
-        a2 = 0.0
-    bu, bd = kkt_split(a1, a2, a3)
-    b3 = bu + bd
-    if b3 > cap:
-        raise RouteInfeasibleError(3, f"required bandwidth {b3:.3e} Hz exceeds the cap {cap:.3e} Hz")
-    return b3, bu, bd
 
 
 def route_latency(route: int, config: SystemConfig,
@@ -188,50 +136,41 @@ def route_latency(route: int, config: SystemConfig,
     raise InvalidFieldError("route", "must be 1, 2 or 3")
 
 
-def route_power(route: int, config: SystemConfig) -> float:
-    """Device-side per-task power draw of a route (local compute or uplink)."""
-    k1, k2 = power_coefficients(config)
-    if route in (1, 2):
-        return k1
-    if route == 3:
-        return k2
-    raise InvalidFieldError("route", "must be 1, 2 or 3")
-
-
 def route_costs(config: SystemConfig, cap: float = DEFAULT_BANDWIDTH_CAP) -> RouteCosts:
-    """Evaluate all three routes once, recording infeasibility in flags
-    instead of exceptions so the policy layer can reason over subsets."""
+    """Evaluate all three routes once, recording infeasibility in flags so the
+    policy layer can reason over subsets. A route is infeasible when it
+    misses the deadline at every bandwidth, or needs more than ``cap``."""
     t = config.task
     tau = t.deadline_s
-    r1ok = local_compute_latency(config) <= tau
-
-    b2: float | None
-    try:
-        b2 = route2_bandwidth(config, cap)
-        r2ok = True
-    except (RouteInfeasibleError, DegenerateChannelError):
-        b2 = None
-        r2ok = False
-
+    compute_local = local_compute_latency(config)
+    slack = tau - compute_local
     a3 = tau - server_compute_latency(config)
     se_up = uplink_spectral_efficiency(config)
     se_down = downlink_spectral_efficiency(config)
-    a1 = t.input_local_bits / se_up if se_up > 0 else math.inf
-    if t.input_local_bits == 0:
-        a1 = 0.0
-    a2 = t.output_bits / se_down if se_down > 0 else math.inf
-    if t.output_bits == 0:
-        a2 = 0.0
 
+    b2 = None
+    if t.input_remote_bits == 0:
+        if not slack < 0:
+            b2 = 0.0
+    elif slack * se_down > 0:  # 0 with no slack, a dead downlink, or underflow
+        b2 = t.input_remote_bits / (slack * se_down)
+        if b2 > cap:
+            b2 = None
+
+    # transfer costs in Hz-seconds; an infinite one (a dead link, or a cost
+    # past float range) leaves route 3 infeasible
+    a1 = 0.0 if t.input_local_bits == 0 else t.input_local_bits / se_up if se_up > 0 else math.inf
+    a2 = 0.0 if t.output_bits == 0 else t.output_bits / se_down if se_down > 0 else math.inf
     b3 = bu3 = bd3 = None
-    try:
-        b3, bu3, bd3 = route3_bandwidth(config, cap)
-        r3ok = True
-    except (RouteInfeasibleError, DegenerateChannelError):
-        r3ok = False
+    if a3 > 0 and a1 < math.inf and a2 < math.inf:
+        bu3, bd3 = kkt_split(a1, a2, a3)
+        b3 = bu3 + bd3
+        if b3 > cap:
+            b3 = bu3 = bd3 = None
 
     k1, k2 = power_coefficients(config)
+    r1ok = compute_local <= tau
     return RouteCosts(b1=0.0, b2=b2, b3=b3, bu3=bu3, bd3=bd3,
                       a1=a1, a2=a2, a3=a3, k1=k1, k2=k2,
-                      route1_feasible=r1ok, route12_feasible=r1ok and r2ok,
-                      route3_feasible=r3ok)
+                      route1_feasible=r1ok, route12_feasible=r1ok and b2 is not None,
+                      route3_feasible=b3 is not None)

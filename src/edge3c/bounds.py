@@ -1,10 +1,10 @@
 """Shared integer-boundary conventions.
 
-The closed-form policy and the brute-force oracle must agree on how float
-ratios round to task counts, otherwise a ratio sitting within one ulp of an
-integer would make the two sides disagree for reasons that have nothing to do
-with the allocation logic. Both import the rules from here; the search logic
-on each side stays independent.
+The closed-form policy and the brute-force oracles must agree on how float
+ratios round to task counts and on when a total fits its budget, otherwise a
+value sitting within one ulp of a boundary would make the two sides disagree
+for reasons that have nothing to do with the allocation logic. All of them
+import the rules from here; the search logic on each side stays independent.
 """
 
 from __future__ import annotations
@@ -12,6 +12,9 @@ from __future__ import annotations
 import math
 
 REL_EPS = 1e-9
+
+#: relative window within which two objective values count as tied
+TIE_REL = 1e-12
 
 
 def floor_eps(x: float, rel: float = REL_EPS) -> int:
@@ -39,11 +42,22 @@ def cache_task_capacity(cache_bits: float, input_remote_bits: float, task_count:
     return max(0, min(task_count, floor_eps(ratio)))
 
 
+def within_budget(total: float, budget: float) -> bool:
+    """Whether ``total`` fits ``budget`` up to the package-wide relative
+    tolerance, with no absolute slack: the validator accepts only power
+    budgets > 0 and cache sizes >= 0, so the relative window suffices, and an
+    empty cache holds nothing.
+
+    Given a numpy array for ``total``, it applies elementwise and returns a
+    boolean array."""
+    return total <= budget * (1.0 + REL_EPS)
+
+
 def power_within_budget(k1: float, k2: float, x_local: int, x_offload: int,
-                        budget_w: float, rel: float = REL_EPS) -> bool:
+                        budget_w: float) -> bool:
     """Whether a mix of x_local locally-computed and x_offload offloaded tasks
-    fits the average power budget, with the package-wide relative tolerance.
+    fits the average power budget (``within_budget``).
 
     Given numpy integer arrays for the counts, it applies elementwise and
     returns a boolean array."""
-    return k1 * x_local + k2 * x_offload <= budget_w * (1.0 + rel) + 1e-300
+    return within_budget(k1 * x_local + k2 * x_offload, budget_w)

@@ -49,17 +49,6 @@ class DegenerateChannelError(Edge3cError):
     code = "degenerate_channel"
 
 
-class RouteInfeasibleError(Edge3cError):
-    """A single service route cannot meet the deadline at any finite bandwidth."""
-
-    code = "route_infeasible"
-
-    def __init__(self, route: int, reason: str):
-        self.route = route
-        self.reason = reason
-        super().__init__(f"route {route}: {reason}")
-
-
 class InfeasibleError(Edge3cError):
     """No assignment of all tasks satisfies the constraints.
 
@@ -74,12 +63,6 @@ class InfeasibleError(Edge3cError):
         if reason:
             msg += f": {reason}"
         super().__init__(msg)
-
-
-class InvalidCountsError(Edge3cError):
-    """A route-count triple does not describe a valid assignment of the task set."""
-
-    code = "invalid_counts"
 
 
 class TooLargeError(Edge3cError):

@@ -135,7 +135,9 @@ def power_coefficients(config: SystemConfig) -> tuple[float, float]:
         se_up = uplink_spectral_efficiency(config)
         if se_up <= 0:
             raise DegenerateChannelError("uplink spectral efficiency is 0 but the local input must be uploaded")
-        k2 = d.uplink_psd * t.input_local_bits / (f * t.deadline_s * se_up)
+        denom = f * t.deadline_s * se_up
+        # a denominator that underflows to 0 puts k2 past float range
+        k2 = d.uplink_psd * t.input_local_bits / denom if denom > 0 else math.inf
     else:
         k2 = 0.0
     return k1, k2
@@ -190,10 +192,32 @@ _FIELD_RULES = {f"{section}.{name}": rule for section, rules in _RULES for name,
 def field_violation(dotted: str, value) -> InvalidFieldError | None:
     """The violation of one numeric field's own rule by ``value``, or None.
 
-    Rules that relate several fields are checked only by config_violations.
+    Rules that relate several fields are checked by derived_violation.
     """
     reason = _FIELD_RULES[dotted](value)
     return None if reason is None else InvalidFieldError(dotted, reason)
+
+
+def derived_violation(config: SystemConfig) -> InvalidFieldError | None:
+    """The violation of a rule on the derived power draws, or None, for a
+    config whose fields each pass their own rule.
+
+    Both draws must be finite: a local input uploaded over a link whose
+    spectral efficiency underflows to 0 has no finite k2, and a huge CPU
+    speed can overflow k1. Either would give the closed form and the oracles
+    no common answer.
+    """
+    uplink = "device.uplink_psd" if config.channel.snr_up_db is None else "channel.snr_up_db"
+    try:
+        k1, k2 = power_coefficients(config)
+    except DegenerateChannelError:
+        return InvalidFieldError(uplink, "gives an uplink spectral efficiency of 0, "
+                                         "but the local input must be uploaded")
+    if not math.isfinite(k1):
+        return InvalidFieldError("device.cpu_hz", "makes the local computing power k1 overflow")
+    if not math.isfinite(k2):
+        return InvalidFieldError(uplink, "makes the uplink power k2 overflow")
+    return None
 
 
 def config_violations(config: SystemConfig) -> list[InvalidFieldError]:
@@ -211,12 +235,10 @@ def config_violations(config: SystemConfig) -> list[InvalidFieldError]:
             if reason is not None:
                 v.append(InvalidFieldError(f"{section}.{name}", reason))
 
-    # A local input that must be uploaded over a link whose spectral
-    # efficiency underflows to 0 has no finite uplink power (k2).
-    if not v and config.task.input_local_bits > 0 and uplink_spectral_efficiency(config) <= 0:
-        field = "device.uplink_psd" if config.channel.snr_up_db is None else "channel.snr_up_db"
-        v.append(InvalidFieldError(field, "gives an uplink spectral efficiency of 0, "
-                                          "but the local input must be uploaded"))
+    if not v:
+        derived = derived_violation(config)
+        if derived is not None:
+            v.append(derived)
     return v
 
 

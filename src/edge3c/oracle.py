@@ -5,8 +5,9 @@ oracle enumerates every (x1, x2) cell that the one-coordinate constraints
 allow, the per-task oracle enumerates
 every route assignment of every task, and the bandwidth-split oracle runs a
 one-dimensional golden-section search. They do share the package's boundary
-conventions (epsilon floor for the cache capacity, power tolerance), so a
-ratio one ulp away from an integer cannot manufacture a disagreement.
+conventions from ``bounds`` (epsilon floor for the cache capacity, the one
+budget tolerance for cache and power, the tie window), so a value one ulp
+away from a boundary cannot manufacture a disagreement.
 """
 
 from __future__ import annotations
@@ -16,13 +17,10 @@ import math
 from dataclasses import dataclass
 
 from .bandwidth import DEFAULT_BANDWIDTH_CAP, RouteCosts, route_costs
-from .bounds import REL_EPS, cache_task_capacity, power_within_budget
+from .bounds import TIE_REL, cache_task_capacity, power_within_budget, within_budget
 from .errors import InfeasibleError, InvalidFieldError, TooLargeError
 from .model import SystemConfig, validate_config
 from .parallel import ordered_map
-
-#: relative window within which two objective values count as tied
-TIE_REL = 1e-12
 
 #: largest ``trials`` run_verification accepts: ten times the paper's
 #: 10,000-config check, holding about 20 MiB of per-trial results
@@ -109,7 +107,6 @@ def enumerate_per_task(config: SystemConfig, limit: int = 10,
     t = config.task
     budget = config.device.avg_power_w
     cache_bits = config.device.cache_bits
-    eps = REL_EPS
 
     allowed = [r for r, ok in ((1, costs.route1_feasible),
                                (2, costs.route12_feasible),
@@ -125,10 +122,9 @@ def enumerate_per_task(config: SystemConfig, limit: int = 10,
     for routes in itertools.product(allowed, repeat=f):
         c = [1 if r == 1 else 0 for r in routes]
         d = [1 if r in (1, 2) else 0 for r in routes]
-        if sum(ci * t.input_remote_bits for ci in c) > cache_bits * (1.0 + eps) + 1e-300:
+        if not within_budget(sum(ci * t.input_remote_bits for ci in c), cache_bits):
             continue
-        power = sum(costs.k1 if di else costs.k2 for di in d)
-        if power > budget * (1.0 + eps) + 1e-300:
+        if not within_budget(sum(costs.k1 if di else costs.k2 for di in d), budget):
             continue
         found_any = True
         total = sum(bw[r] for r in routes)

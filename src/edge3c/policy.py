@@ -44,22 +44,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bandwidth import DEFAULT_BANDWIDTH_CAP, RouteCosts, route_costs
-from .bounds import REL_EPS, cache_task_capacity, ceil_eps, floor_eps, power_within_budget
-from .errors import InfeasibleError, InvalidCountsError, InvalidFieldError
+from .bounds import cache_task_capacity, ceil_eps, floor_eps, power_within_budget, within_budget
+from .errors import InfeasibleError, InvalidFieldError
 from .model import SystemConfig, validate_config
-
-#: The nine regime labels (slash-separated; comma-free so CSV stays unquoted).
-REGIME_LABELS = (
-    "k1>k2/B3>B2/power-limited",
-    "k1>k2/B3>B2/cache-then-power",
-    "k1>k2/B3>B2/power-ample",
-    "k1>k2/B3<=B2/power-limited",
-    "k1>k2/B3<=B2/cache-limited",
-    "k1>k2/B3<=B2/power-ample",
-    "k1<=k2/B3>B2/local-always",
-    "k1<=k2/B3<=B2/mec-unconstrained",
-    "k1<=k2/B3<=B2/forced-local",
-)
 
 _BINDING_ORDER = ("cache", "power", "tasks", "latency")
 
@@ -72,6 +59,29 @@ class Regime:
     k1_gt_k2: bool
     b3_gt_b2: bool
     detail: str
+
+
+def _regime(k1_gt_k2: bool, b3_gt_b2: bool, detail: str) -> Regime:
+    label = f"{'k1>k2' if k1_gt_k2 else 'k1<=k2'}/{'B3>B2' if b3_gt_b2 else 'B3<=B2'}/{detail}"
+    return Regime(label=label, k1_gt_k2=k1_gt_k2, b3_gt_b2=b3_gt_b2, detail=detail)
+
+
+#: The nine regimes, in the order the sampler targets them (trial i aims at
+#: REGIMES[i % 9]). Labels are slash-separated and comma-free so CSV stays
+#: unquoted. Every solve returns one of these instances.
+REGIMES = (
+    _regime(True, True, "power-limited"),
+    _regime(True, True, "cache-then-power"),
+    _regime(True, True, "power-ample"),
+    _regime(True, False, "power-limited"),
+    _regime(True, False, "cache-limited"),
+    _regime(True, False, "power-ample"),
+    _regime(False, True, "local-always"),
+    _regime(False, False, "mec-unconstrained"),
+    _regime(False, False, "forced-local"),
+)
+REGIME_LABELS = tuple(r.label for r in REGIMES)
+_REGIME_BY_KEY = {(r.k1_gt_k2, r.b3_gt_b2, r.detail): r for r in REGIMES}
 
 
 @dataclass(frozen=True)
@@ -90,17 +100,6 @@ class PolicySolution:
             "b_total_hz": self.b_total_hz, "b_avg_hz": self.b_avg_hz,
             "regime": self.regime.label, "binding": list(self.binding),
         }
-
-
-@dataclass(frozen=True)
-class Assignment:
-    """Per-task expansion of a count triple: cache flags, local-compute flags
-    and route ids, each of length F (tasks are interchangeable, so the first
-    x1 get the cache)."""
-
-    cache_flags: tuple[int, ...]
-    local_flags: tuple[int, ...]
-    routes: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -141,7 +140,7 @@ def _analyze(config: SystemConfig, costs: RouteCosts) -> _Analysis:
     if reachable < f:
         raise InfeasibleError("latency", "feasible routes cannot cover the task set")
     pmin = _power_floor(f, qf, costs)
-    if not pmin <= config.device.avg_power_w * (1.0 + REL_EPS):
+    if not within_budget(pmin, config.device.avg_power_w):
         raise InfeasibleError("power", "minimum achievable power exceeds the budget")
 
     k1_gt = k1 > k2
@@ -199,8 +198,7 @@ def _analyze(config: SystemConfig, costs: RouteCosts) -> _Analysis:
             detail = "local-always"
         else:
             detail = "forced-local" if x2 > 0 else "mec-unconstrained"
-    label = f"{'k1>k2' if k1_gt else 'k1<=k2'}/{'B3>B2' if b3_gt_b2 else 'B3<=B2'}/{detail}"
-    regime = Regime(label=label, k1_gt_k2=k1_gt, b3_gt_b2=b3_gt_b2, detail=detail)
+    regime = _REGIME_BY_KEY[(k1_gt, b3_gt_b2, detail)]
 
     binding = set()
     x1_bounds = {"cache": qf, "tasks": f}
@@ -240,23 +238,6 @@ def classify_regime(config: SystemConfig, cap: float = DEFAULT_BANDWIDTH_CAP) ->
     """Which of the nine operating regions the config sits in (unique)."""
     validate_config(config)
     return _analyze(config, route_costs(config, cap)).regime
-
-
-def expand_assignment(x1: int, x2: int, x3: int, config: SystemConfig) -> Assignment:
-    """Per-task vectors realizing a count triple; tasks are interchangeable."""
-    for name, x in (("x1", x1), ("x2", x2), ("x3", x3)):
-        if not isinstance(x, int) or isinstance(x, bool) or x < 0:
-            raise InvalidCountsError(f"{name} must be a nonnegative integer")
-    f = config.task_count
-    if x1 + x2 + x3 != f:
-        raise InvalidCountsError(f"counts sum to {x1 + x2 + x3}, expected task_count {f}")
-    if x1 > cache_task_capacity(config.device.cache_bits, config.task.input_remote_bits, f):
-        raise InvalidCountsError(f"{x1} cached remote inputs exceed the cache size")
-    return Assignment(
-        cache_flags=tuple([1] * x1 + [0] * (x2 + x3)),
-        local_flags=tuple([1] * (x1 + x2) + [0] * x3),
-        routes=tuple([1] * x1 + [2] * x2 + [3] * x3),
-    )
 
 
 def baseline_counts(kind: str, config: SystemConfig,

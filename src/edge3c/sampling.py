@@ -26,33 +26,21 @@ from .model import (
     snr_db_to_spectral_efficiency,
     validate_config,
 )
+from .policy import REGIMES
 
-STRATA = (
-    ("k1>k2", "B3>B2", "power-limited"),
-    ("k1>k2", "B3>B2", "cache-then-power"),
-    ("k1>k2", "B3>B2", "power-ample"),
-    ("k1>k2", "B3<=B2", "power-limited"),
-    ("k1>k2", "B3<=B2", "cache-limited"),
-    ("k1>k2", "B3<=B2", "power-ample"),
-    ("k1<=k2", "B3>B2", "local-always"),
-    ("k1<=k2", "B3<=B2", "mec-unconstrained"),
-    ("k1<=k2", "B3<=B2", "forced-local"),
-)
-
-# strata whose defining orderings need room between 0, Q, U and F
-_NEEDS_F3 = {1, 4, 8}
+# regimes whose defining orderings need room between 0, Q, U and F
+_NEEDS_F3 = ("cache-then-power", "cache-limited", "forced-local")
 
 
 def sample_config(seed: int, trial: int) -> SystemConfig:
-    """Validated random config targeting regime ``STRATA[trial % 9]``."""
+    """Validated random config targeting regime ``REGIMES[trial % 9]``."""
     import numpy as np  # imported here so that commands other than verify never load numpy
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(trial,))))
-    stratum = trial % 9
-    k1_gt = stratum <= 5
-    b3_gt = stratum in (0, 1, 2, 6)
+    target = REGIMES[trial % 9]
+    k1_gt, b3_gt, detail = target.k1_gt_k2, target.b3_gt_b2, target.detail
 
-    f = int(rng.integers(3, 201)) if stratum in _NEEDS_F3 else int(rng.integers(1, 201))
+    f = int(rng.integers(3, 201)) if detail in _NEEDS_F3 else int(rng.integers(1, 201))
     tau = float(10.0 ** rng.uniform(-2.0, 0.3))
     w = float(rng.uniform(1.0, 20.0))
     i_local = float(10.0 ** rng.uniform(3.0, 6.5))
@@ -89,7 +77,6 @@ def sample_config(seed: int, trial: int) -> SystemConfig:
     mu = k1 * tau * f / (f_d * f_d * w * (i_local + i_remote))
 
     # place the cache capacity Q and the power bound per the targeted case
-    detail = STRATA[stratum][2]
     if detail == "power-limited":
         q_t = int(rng.integers(0, f + 4))
         bound_t = float(rng.uniform(0.0, min(q_t + 0.9, f - 0.05)))

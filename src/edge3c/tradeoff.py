@@ -18,10 +18,10 @@ bandwidth traverses up to four phases separated by three turning points:
               + tau*F*k2 / (mu*w*I_total))``.
 
 Each point is absent (with a recorded reason) when its defining crossing
-cannot occur. Sweeps re-solve the policy on a value grid for one parameter,
-mark infeasible points rather than dropping them, and serialize to a fixed
-CSV schema; regime-label changes between consecutive grid points locate the
-turning points empirically.
+cannot occur, or lies at a cpu speed beyond float range. Sweeps re-solve the
+policy on a value grid for one parameter, mark infeasible points rather than
+dropping them, and serialize to a fixed CSV schema; regime-label changes
+between consecutive grid points locate the turning points empirically.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .bandwidth import DEFAULT_BANDWIDTH_CAP, route_costs
 from .errors import InfeasibleError, InvalidFieldError, TooLargeError
 from .model import (
     SystemConfig,
+    derived_violation,
     downlink_spectral_efficiency,
     field_violation,
     replace_field,
@@ -164,7 +165,13 @@ def turning_points(config: SystemConfig, cap: float = DEFAULT_BANDWIDTH_CAP) -> 
         if f3 is None:
             absent["f3"] = "power budget below the offload-only draw: no speed balances cache and power"
 
-    return TurningPoints(f1_hz=f1, f2_hz=f2, f3_hz=f3, absence_reasons=absent)
+    points = {"f1": f1, "f2": f2, "f3": f3}
+    for name, hz in points.items():
+        if hz is not None and not math.isfinite(hz):
+            points[name] = None
+            absent[name] = "the crossing lies beyond float range: no finite cpu speed reaches it"
+    return TurningPoints(f1_hz=points["f1"], f2_hz=points["f2"], f3_hz=points["f3"],
+                         absence_reasons=absent)
 
 
 @dataclass(frozen=True)
@@ -219,7 +226,8 @@ def sweep(config: SystemConfig, spec: SweepSpec,
     """Re-solve the policy over a value grid for one parameter.
 
     Infeasible grid points become error rows, not gaps, and so do values the
-    swept field's own rule rejects. The base config is validated once; each
+    validator rejects: the swept field's own rule, or the derived power draws
+    (a huge CPU speed overflows k1). The base config is validated once; each
     point's route costs are computed once and give the optimum and every
     baseline. A baseline cell is None when the baseline or the optimum is
     infeasible.
@@ -232,10 +240,10 @@ def sweep(config: SystemConfig, spec: SweepSpec,
         solution = None
         error = None
         baselines = dict.fromkeys(spec.baselines)
-        if field_violation(dotted, value) is not None:
+        cfg = replace_field(config, dotted, value) if field_violation(dotted, value) is None else None
+        if cfg is None or derived_violation(cfg) is not None:
             error = "invalid_config"
         else:
-            cfg = replace_field(config, dotted, value)
             costs = route_costs(cfg, cap)
             try:
                 solution = solve_with_costs(cfg, costs)

@@ -100,25 +100,9 @@ def parse_quantity(value, dimension: str, field: str = "value") -> float:
     return num * table[unit]
 
 
-def _engineering(value: float, steps: list[tuple[float, str]], base: str) -> str:
-    av = abs(value)
-    for factor, suffix in steps:
-        if av >= factor:
-            return f"{value / factor:.4g} {suffix}"
-    return f"{value:.4g} {base}"
-
-
 def format_hz(value: float) -> str:
-    return _engineering(value, [(1e9, "GHz"), (1e6, "MHz"), (1e3, "kHz")], "Hz")
-
-
-def format_bits(value: float) -> str:
-    return _engineering(value, [(1e9, "Gbit"), (1e6, "Mbit"), (1e3, "kbit")], "bit")
-
-
-def format_watts(value: float) -> str:
-    return _engineering(value, [(1.0, "W"), (1e-3, "mW"), (1e-6, "uW")], "W")
-
-
-def format_seconds(value: float) -> str:
-    return _engineering(value, [(1.0, "s"), (1e-3, "ms")], "us") if abs(value) >= 1e-6 else f"{value:.4g} s"
+    """Engineering-notation frequency, e.g. "4 GHz" or "180 kHz"."""
+    for factor, suffix in ((1e9, "GHz"), (1e6, "MHz"), (1e3, "kHz")):
+        if abs(value) >= factor:
+            return f"{value / factor:.4g} {suffix}"
+    return f"{value:.4g} Hz"

@@ -4,15 +4,10 @@ import numpy as np
 import pytest
 
 from edge3c import (
-    RouteInfeasibleError,
     kkt_split,
     local_compute_latency,
-    route1_bandwidth,
-    route2_bandwidth,
-    route3_bandwidth,
     route_costs,
     route_latency,
-    route_power,
     server_compute_latency,
 )
 from conftest import build_config
@@ -36,26 +31,31 @@ def test_latencies_constructed():
 
 
 def test_route1_zero_or_infeasible():
-    assert route1_bandwidth(build_config()) == 0.0
+    costs = route_costs(build_config())
+    assert costs.b1 == 0.0 and costs.route1_feasible
     # boundary: compute time exactly equals the deadline
-    assert route1_bandwidth(build_config(cpu_hz=1.0)) == 0.0
-    with pytest.raises(RouteInfeasibleError):
-        route1_bandwidth(build_config(cpu_hz=0.5))
+    assert route_costs(build_config(cpu_hz=1.0)).route1_feasible
+    assert not route_costs(build_config(cpu_hz=0.5)).route1_feasible
 
 
 def test_route2_constructed():
     # 9 bits to download in 1 s of slack at SE 3: exactly 3 Hz
     cfg = build_config(input_remote_bits=9.0, input_local_bits=1.0,
                        cpu_hz=10.0, snr_down_db=None, downlink_psd=7.0)
-    assert route2_bandwidth(cfg) == 3.0
-    assert route2_bandwidth(build_config()) == 1.0
+    assert route_costs(cfg).b2 == 3.0
+    assert route_costs(build_config()).b2 == 1.0
 
 
 def test_route2_infeasible_without_slack():
-    with pytest.raises(RouteInfeasibleError):
-        route2_bandwidth(build_config(cpu_hz=1.0))  # slack exactly 0
+    costs = route_costs(build_config(cpu_hz=1.0))  # slack exactly 0
+    assert costs.b2 is None and not costs.route12_feasible
+    assert costs.route1_feasible
     # nothing to download: 0 Hz even with zero slack
-    assert route2_bandwidth(build_config(cpu_hz=0.5, input_remote_bits=0.0)) == 0.0
+    costs = route_costs(build_config(cpu_hz=0.5, input_remote_bits=0.0))
+    assert costs.b2 == 0.0 and costs.route12_feasible
+    # 2e-7 s of slack on a -3200 dB downlink: slack * SE_down underflows to 0
+    costs = route_costs(build_config(cpu_hz=1.0000001, snr_down_db=-3200.0))
+    assert costs.b2 is None and not costs.route12_feasible
 
 
 def test_route3_constructed():
@@ -63,16 +63,26 @@ def test_route3_constructed():
     cfg = build_config(input_local_bits=4.0, output_bits=9.0, input_remote_bits=6.0,
                        cycles_per_bit=1.0, deadline_s=2.0, server_cpu_hz=10.0,
                        cpu_hz=40.0, avg_power_w=1e6, uplink_psd=1.0)
-    b3, bu, bd = route3_bandwidth(cfg)
-    assert (bu, bd) == (10.0, 15.0)
-    assert b3 == 25.0
+    costs = route_costs(cfg)
+    assert (costs.b3, costs.bu3, costs.bd3) == (25.0, 10.0, 15.0)
     # the deadline is exactly met at that split
-    assert route_latency(3, cfg, uplink_hz=bu, downlink_hz=bd) == pytest.approx(2.0, rel=1e-12)
+    assert route_latency(3, cfg, uplink_hz=costs.bu3,
+                         downlink_hz=costs.bd3) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_route3_no_air_time():
-    with pytest.raises(RouteInfeasibleError):
-        route3_bandwidth(build_config(server_cpu_hz=1.0))  # server compute = deadline
+    costs = route_costs(build_config(server_cpu_hz=1.0))  # server compute = deadline
+    assert not costs.route3_feasible
+    assert costs.b3 is costs.bu3 is costs.bd3 is None
+
+
+def test_route3_infeasible_when_a_transfer_cost_overflows():
+    # SE_up is about 1.4e-310, so uploading 1 bit costs a1 = inf Hz-seconds;
+    # with no output, sqrt(a1 * a2) would be inf * 0 = NaN rather than a cost
+    costs = route_costs(build_config(snr_up_db=None, uplink_psd=1e-310))
+    assert (costs.a1, costs.a2) == (math.inf, 0.0)
+    assert not costs.route3_feasible and costs.b3 is None
+    assert costs.route12_feasible
 
 
 def test_kkt_split_closed_form():
@@ -105,13 +115,6 @@ def test_route_latency_zero_payload_terms():
     assert lat == 0.5 + 1.5
 
 
-def test_route_power_per_route():
-    cfg = build_config()
-    assert route_power(1, cfg) == 2.0
-    assert route_power(2, cfg) == 2.0
-    assert route_power(3, cfg) == 1.0
-
-
 def test_route_costs_aggregate(reference_config):
     costs = route_costs(reference_config)
     assert costs.b1 == 0.0
@@ -139,7 +142,9 @@ def test_route_costs_flags_degenerate():
 
 
 def test_bandwidth_cap_cuts_off():
-    cfg = build_config()
-    with pytest.raises(RouteInfeasibleError):
-        route2_bandwidth(cfg, cap=0.5)
-    assert not route_costs(cfg, cap=0.5).route12_feasible
+    cfg = build_config()  # B2 = 1 Hz, B3 = 2 Hz
+    costs = route_costs(cfg, cap=0.5)
+    assert costs.b2 is None and not costs.route12_feasible
+    assert costs.b3 is None and not costs.route3_feasible
+    # a bandwidth exactly at the cap is still feasible
+    assert route_costs(cfg, cap=1.0).b2 == 1.0

@@ -71,6 +71,20 @@ def test_turning_points_shape(capsys):
     assert out["human"]["f2"].endswith("GHz")
 
 
+def test_turning_points_beyond_float_range_print_strict_json(tmp_path, capsys):
+    # a subnormal switched capacitance puts f2 and f3 past float range
+    raw = json.loads((CONFIG_DIR / "reference.json").read_text())
+    raw["device"]["switched_capacitance"] = 1e-320
+    path = tmp_path / "tiny_mu.json"
+    path.write_text(json.dumps(raw))
+    assert main(["turning-points", "--config", str(path), "--human"]) == 0
+    out = strict_json(capsys.readouterr().out)
+    assert out["f1_hz"] > 0
+    for name in ("f2", "f3"):
+        assert out[f"{name}_hz"] is None and out["human"][name] is None
+        assert "float range" in out["absent"][name]
+
+
 def test_sweep_csv(capsys):
     assert main(["sweep", "--config", REFCFG, "--param", "device_cpu_hz",
                  "--start", "2 GHz", "--stop", "8 GHz", "--steps", "4",

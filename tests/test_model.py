@@ -100,6 +100,21 @@ def test_degenerate_uplink_with_local_input():
     assert [v.field for v in info.value.violations] == ["device.uplink_psd"]
 
 
+@pytest.mark.parametrize("overrides, field", [
+    (dict(cpu_hz=1e200), "device.cpu_hz"),           # k1 = mu * f_D^2 * ... overflows
+    (dict(snr_up_db=-3100.0), "channel.snr_up_db"),  # SE_up is subnormal, so k2 overflows
+    # F * tau * SE_up underflows to 0 in k2's denominator
+    (dict(switched_capacitance=0.0, deadline_s=1e-310, snr_up_db=-200.0), "channel.snr_up_db"),
+])
+def test_power_draws_must_be_finite(overrides, field):
+    # with an infinite draw the closed form's power bound (Pbar - F*k2) /
+    # (k1 - k2) can be NaN, and a mix with no task on that route inf * 0
+    with pytest.raises(InvalidConfigError) as info:
+        build_config(**overrides)
+    assert [v.field for v in info.value.violations] == [field]
+    assert math.isinf(max(power_coefficients(build_config(**overrides, validate=False))))
+
+
 def test_load_reference_config_units(reference_config):
     cfg = reference_config
     assert cfg.task_count == 300

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from edge3c import (
+    REGIMES,
     InfeasibleError,
     InvalidConfigError,
     InvalidFieldError,
+    SweepSpec,
     TooLargeError,
     config_from_dict,
     enumerate_optimal,
@@ -15,10 +17,12 @@ from edge3c import (
     kkt_split,
     numeric_bandwidth_split,
     relative_error,
+    replace_field,
     route_costs,
     run_verification,
     sample_config,
     solve_optimal,
+    sweep,
 )
 from conftest import CONFIG_DIR, build_config, power_floor_config
 
@@ -154,8 +158,10 @@ def test_sampler_is_deterministic_and_valid():
 
 
 def test_sampler_covers_all_nine_regimes():
-    labels = {solve_optimal(sample_config(0, trial)).regime.label for trial in range(18)}
-    assert len(labels) == 9
+    # trial i lands on the regime it targets, the shared table's entry i % 9
+    for seed in range(3):
+        for trial in range(900):
+            assert solve_optimal(sample_config(seed, trial)).regime is REGIMES[trial % 9]
 
 
 def test_run_verification_report():
@@ -191,3 +197,42 @@ def test_dead_uplink_rejected_by_both_solvers(reference_config):
     closed, lattice = solve_optimal(no_upload), enumerate_optimal(no_upload)
     assert (closed.x1, closed.x2, closed.x3) == (lattice.x1, lattice.x2, lattice.x3)
     assert closed.b_total_hz == lattice.b_total_hz
+
+
+def outcome(solver, config):
+    """(x1, x2, x3, total bandwidth) or the infeasible constraint."""
+    try:
+        sol = solver(config)
+    except InfeasibleError as exc:
+        return exc.constraint
+    return sol.x1, sol.x2, sol.x3, sol.b_total_hz
+
+
+@pytest.mark.parametrize("overrides, expected", [
+    # every mix draws about 1e-301 W, far above the 1e-310 W budget but
+    # within 1e-300 W of it: the tolerance must be relative only
+    (dict(avg_power_w=1e-310, switched_capacitance=5e-302, uplink_psd=2e-301), "power"),
+    # an empty cache holds no remote input, however small
+    (dict(cache_bits=0.0, input_remote_bits=1e-310, task_count=5), (0, 5, 0, 3.3333333333334e-310)),
+    # an uplink cost past float range leaves only the local routes, which
+    # draw 20 W against 15 W
+    (dict(snr_up_db=None, uplink_psd=1e-310), "power"),
+])
+def test_all_three_solvers_agree_at_the_float_edges(overrides, expected):
+    cfg = build_config(**overrides)
+    for solver in (solve_optimal, enumerate_optimal, enumerate_per_task):
+        assert outcome(solver, cfg) == expected, solver.__name__
+
+
+def test_overflowing_local_power_rejected_everywhere(reference_config):
+    # 1e200 Hz makes k1 overflow to inf, where the solvers have no common
+    # answer: the all-offload mix would draw inf * 0 = NaN watts
+    fast = replace_field(reference_config, "device.cpu_hz", 1e200)
+    for solver in (solve_optimal, enumerate_optimal, enumerate_per_task):
+        with pytest.raises(InvalidConfigError) as info:
+            solver(fast)
+        assert [v.field for v in info.value.violations] == ["device.cpu_hz"]
+    spec = SweepSpec(parameter="device_cpu_hz", start=4e9, stop=1e200, steps=2)
+    rows = sweep(reference_config, spec)
+    assert rows[0].solution == solve_optimal(reference_config)
+    assert (rows[1].solution, rows[1].error) == (None, "invalid_config")

@@ -2,11 +2,9 @@ import pytest
 
 from edge3c import (
     InfeasibleError,
-    InvalidCountsError,
     REGIME_LABELS,
     baseline_policy,
     classify_regime,
-    expand_assignment,
     route_costs,
     solve_optimal,
 )
@@ -135,21 +133,6 @@ def test_power_infeasible_when_floor_exceeds_budget():
     with pytest.raises(InfeasibleError) as exc:
         solve_optimal(cfg)
     assert exc.value.constraint == "power"
-
-
-def test_expand_assignment_realizes_counts():
-    cfg = build_config()
-    a = expand_assignment(3, 2, 5, cfg)
-    assert sum(a.cache_flags) == 3
-    assert sum(a.local_flags) == 5
-    assert a.routes.count(1) == 3 and a.routes.count(2) == 2 and a.routes.count(3) == 5
-    assert len(a.routes) == 10
-    with pytest.raises(InvalidCountsError):
-        expand_assignment(3, 2, 4, cfg)      # wrong sum
-    with pytest.raises(InvalidCountsError):
-        expand_assignment(4, 1, 5, cfg)      # cache holds only 3
-    with pytest.raises(InvalidCountsError):
-        expand_assignment(-1, 6, 5, cfg)
 
 
 def test_baselines_constructed():
