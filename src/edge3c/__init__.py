@@ -71,11 +71,8 @@ from .tradeoff import (
     SweepRow,
     SweepSpec,
     TurningPoints,
-    cache_power_balance_cpu_hz,
     detect_breakpoints,
-    download_offload_crossover_cpu_hz,
     grid_values,
-    power_saturation_cpu_hz,
     rows_to_csv,
     sweep,
     turning_points,
@@ -109,14 +106,12 @@ __all__ = [
     "TooLargeError",
     "TurningPoints",
     "baseline_policy",
-    "cache_power_balance_cpu_hz",
     "cache_task_capacity",
     "ceil_eps",
     "classify_regime",
     "config_from_dict",
     "config_to_dict",
     "detect_breakpoints",
-    "download_offload_crossover_cpu_hz",
     "downlink_spectral_efficiency",
     "enumerate_optimal",
     "enumerate_per_task",
@@ -129,7 +124,6 @@ __all__ = [
     "numeric_bandwidth_split",
     "parse_quantity",
     "power_coefficients",
-    "power_saturation_cpu_hz",
     "power_within_budget",
     "relative_error",
     "replace_field",

@@ -17,19 +17,11 @@ from . import __version__
 from .bandwidth import route_costs
 from .bounds import cache_task_capacity
 from .errors import ConfigParseError, Edge3cError, InvalidConfigError
-from .model import load_config
+from .model import _FIELD_SPECS, load_config
 from .oracle import run_verification
 from .policy import solve_with_costs
-from .tradeoff import SweepSpec, rows_to_csv, sweep, turning_points
+from .tradeoff import SWEEP_PARAMETERS, SweepSpec, rows_to_csv, sweep, turning_points
 from .units import format_hz, parse_quantity
-
-_PARAM_DIMENSION = {
-    "cache_bits": "bits",
-    "device_cpu_hz": "hz",
-    "avg_power_w": "watts",
-    "deadline_s": "seconds",
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -49,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="re-solve over a grid of one parameter (CSV)")
     add_common(p)
-    p.add_argument("--param", required=True, choices=sorted(_PARAM_DIMENSION))
+    p.add_argument("--param", required=True, choices=sorted(SWEEP_PARAMETERS))
     p.add_argument("--start", required=True, help="grid start (SI number or quantity string)")
     p.add_argument("--stop", required=True, help="grid stop")
     p.add_argument("--steps", required=True, type=int)
@@ -100,7 +92,7 @@ def _cmd_solve(args) -> str:
 
 def _cmd_sweep(args) -> str:
     config = load_config(args.config)
-    dim = _PARAM_DIMENSION[args.param]
+    dim = _FIELD_SPECS[SWEEP_PARAMETERS[args.param]][0]
     baselines = tuple(b for b in args.baselines.split(",") if b)
     spec = SweepSpec(parameter=args.param,
                      start=parse_quantity(args.start, dim, "start"),

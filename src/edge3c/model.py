@@ -174,19 +174,34 @@ def _finite_if_present(x) -> str | None:
     return None if x is None or _finite(x) else "must be a finite number when present"
 
 
-#: section -> (field, rule) pairs, in field order; a rule gives the reason a
-#: value is invalid, or None
-_RULES = (
-    ("task", (("input_local_bits", _nonneg), ("input_remote_bits", _nonneg),
-              ("output_bits", _nonneg), ("cycles_per_bit", _nonneg),
-              ("deadline_s", _finite_pos))),
-    ("device", (("cpu_hz", _pos), ("switched_capacitance", _nonneg), ("cache_bits", _nonneg),
-                ("avg_power_w", _pos), ("uplink_psd", _pos))),
-    ("server", (("cpu_hz", _finite_pos), ("downlink_psd", _finite_pos))),
-    ("channel", (("gain", _finite_pos), ("noise_psd", _finite_pos),
-                 ("snr_up_db", _finite_if_present), ("snr_down_db", _finite_if_present))),
+#: section -> type -> (field, unit dimension, rule), in field order. A rule
+#: gives the reason a value is invalid, or None; a field whose rule is
+#: _finite_if_present is optional.
+_FIELDS = (
+    ("task", TaskSpec, (
+        ("input_local_bits", "bits", _nonneg),
+        ("input_remote_bits", "bits", _nonneg),
+        ("output_bits", "bits", _nonneg),
+        ("cycles_per_bit", "dimensionless", _nonneg),
+        ("deadline_s", "seconds", _finite_pos))),
+    ("device", DeviceParams, (
+        ("cpu_hz", "hz", _pos),
+        ("switched_capacitance", "dimensionless", _nonneg),
+        ("cache_bits", "bits", _nonneg),
+        ("avg_power_w", "watts", _pos),
+        ("uplink_psd", "watts_per_hz", _pos))),
+    ("server", ServerParams, (
+        ("cpu_hz", "hz", _finite_pos),
+        ("downlink_psd", "watts_per_hz", _finite_pos))),
+    ("channel", ChannelParams, (
+        ("gain", "dimensionless", _finite_pos),
+        ("noise_psd", "watts_per_hz", _finite_pos),
+        ("snr_up_db", "dimensionless", _finite_if_present),
+        ("snr_down_db", "dimensionless", _finite_if_present))),
 )
-_FIELD_RULES = {f"{section}.{name}": rule for section, rules in _RULES for name, rule in rules}
+#: dotted field name -> (unit dimension, rule)
+_FIELD_SPECS = {f"{section}.{name}": (dim, rule)
+                for section, _, fields in _FIELDS for name, dim, rule in fields}
 
 
 def field_violation(dotted: str, value) -> InvalidFieldError | None:
@@ -194,7 +209,7 @@ def field_violation(dotted: str, value) -> InvalidFieldError | None:
 
     Rules that relate several fields are checked by derived_violation.
     """
-    reason = _FIELD_RULES[dotted](value)
+    reason = _FIELD_SPECS[dotted][1](value)
     return None if reason is None else InvalidFieldError(dotted, reason)
 
 
@@ -228,9 +243,9 @@ def config_violations(config: SystemConfig) -> list[InvalidFieldError]:
     if isinstance(config.task_count, int) and not isinstance(config.task_count, bool):
         _check(v, config.task_count >= 1, "task_count", "must be >= 1")
 
-    for section, rules in _RULES:
+    for section, _, fields in _FIELDS:
         values = getattr(config, section)
-        for name, rule in rules:
+        for name, _, rule in fields:
             reason = rule(getattr(values, name))
             if reason is not None:
                 v.append(InvalidFieldError(f"{section}.{name}", reason))
@@ -253,38 +268,6 @@ def validate_config(config: SystemConfig) -> SystemConfig:
 
 # --- loading / serialization ----------------------------------------------
 
-# field -> unit dimension, per section
-_SCHEMA = {
-    "task": {
-        "input_local_bits": "bits",
-        "input_remote_bits": "bits",
-        "output_bits": "bits",
-        "cycles_per_bit": "dimensionless",
-        "deadline_s": "seconds",
-    },
-    "device": {
-        "cpu_hz": "hz",
-        "switched_capacitance": "dimensionless",
-        "cache_bits": "bits",
-        "avg_power_w": "watts",
-        "uplink_psd": "watts_per_hz",
-    },
-    "server": {
-        "cpu_hz": "hz",
-        "downlink_psd": "watts_per_hz",
-    },
-    "channel": {
-        "gain": "dimensionless",
-        "noise_psd": "watts_per_hz",
-        "snr_up_db": "dimensionless",
-        "snr_down_db": "dimensionless",
-    },
-}
-
-_OPTIONAL = {("channel", "snr_up_db"), ("channel", "snr_down_db")}
-_SECTION_TYPES = {"task": TaskSpec, "device": DeviceParams, "server": ServerParams, "channel": ChannelParams}
-
-
 def config_from_dict(raw: dict) -> SystemConfig:
     """Build and validate a SystemConfig from a JSON-shaped dict.
 
@@ -294,7 +277,7 @@ def config_from_dict(raw: dict) -> SystemConfig:
     if not isinstance(raw, dict):
         raise ConfigParseError("top level must be a JSON object")
     violations: list[InvalidFieldError] = []
-    known_top = {"task_count", *_SCHEMA}
+    known_top = {"task_count", *(section for section, _, _ in _FIELDS)}
     for key in raw:
         if key not in known_top:
             violations.append(InvalidFieldError(key, "unknown top-level field"))
@@ -308,7 +291,7 @@ def config_from_dict(raw: dict) -> SystemConfig:
         task_count = 1
 
     sections = {}
-    for section, fields in _SCHEMA.items():
+    for section, section_type, fields in _FIELDS:
         src = raw.get(section)
         if src is None:
             violations.append(InvalidFieldError(section, "missing section"))
@@ -318,17 +301,18 @@ def config_from_dict(raw: dict) -> SystemConfig:
             src = {}
         values = {}
         for key in src:
-            if key not in fields:
+            if f"{section}.{key}" not in _FIELD_SPECS:
                 violations.append(InvalidFieldError(f"{section}.{key}", "unknown field"))
-        for name, dim in fields.items():
+        for name, dim, rule in fields:
+            optional = rule is _finite_if_present
             if name not in src:
-                if (section, name) in _OPTIONAL:
+                if optional:
                     values[name] = None
                 else:
                     violations.append(InvalidFieldError(f"{section}.{name}", "missing"))
                     values[name] = 1.0
                 continue
-            if src[name] is None and (section, name) in _OPTIONAL:
+            if src[name] is None and optional:
                 values[name] = None
                 continue
             try:
@@ -336,7 +320,7 @@ def config_from_dict(raw: dict) -> SystemConfig:
             except InvalidFieldError as exc:
                 violations.append(exc)
                 values[name] = 1.0
-        sections[section] = _SECTION_TYPES[section](**values)
+        sections[section] = section_type(**values)
 
     config = SystemConfig(task_count=task_count, task=sections["task"],
                           device=sections["device"], server=sections["server"],

@@ -102,15 +102,6 @@ class PolicySolution:
         }
 
 
-@dataclass(frozen=True)
-class _Analysis:
-    x1: int
-    x2: int
-    x3: int
-    regime: Regime
-    binding: tuple[str, ...]
-
-
 def _power_floor(f: int, qf: int, costs: RouteCosts) -> float:
     """Minimum total power over mixes that respect route feasibility and cache."""
     k1, k2 = costs.k1, costs.k2
@@ -126,9 +117,8 @@ def _power_floor(f: int, qf: int, costs: RouteCosts) -> float:
     return f * k1
 
 
-def _analyze(config: SystemConfig, costs: RouteCosts) -> _Analysis:
-    """Closed-form counts, regime and binding constraints of a valid config
-    from its route costs."""
+def solve_with_costs(config: SystemConfig, costs: RouteCosts) -> PolicySolution:
+    """solve_optimal for a config already validated, from its route costs."""
     f = config.task_count
     k1, k2 = costs.k1, costs.k2
     r2, r3 = costs.route12_feasible, costs.route3_feasible
@@ -216,16 +206,9 @@ def _analyze(config: SystemConfig, costs: RouteCosts) -> _Analysis:
         binding.add("latency")
     ordered = tuple(n for n in _BINDING_ORDER if n in binding)
 
-    return _Analysis(x1=x1, x2=x2, x3=x3, regime=regime, binding=ordered)
-
-
-def solve_with_costs(config: SystemConfig, costs: RouteCosts) -> PolicySolution:
-    """solve_optimal for a config already validated, from its route costs."""
-    a = _analyze(config, costs)
-    b_total = (costs.b2 * a.x2 if a.x2 else 0.0) + (costs.b3 * a.x3 if a.x3 else 0.0)
-    return PolicySolution(x1=a.x1, x2=a.x2, x3=a.x3,
-                          b_total_hz=b_total, b_avg_hz=b_total / config.task_count,
-                          regime=a.regime, binding=a.binding)
+    b_total = (costs.b2 * x2 if x2 else 0.0) + (costs.b3 * x3 if x3 else 0.0)
+    return PolicySolution(x1=x1, x2=x2, x3=x3, b_total_hz=b_total, b_avg_hz=b_total / f,
+                          regime=regime, binding=ordered)
 
 
 def solve_optimal(config: SystemConfig, cap: float = DEFAULT_BANDWIDTH_CAP) -> PolicySolution:
@@ -237,7 +220,7 @@ def solve_optimal(config: SystemConfig, cap: float = DEFAULT_BANDWIDTH_CAP) -> P
 def classify_regime(config: SystemConfig, cap: float = DEFAULT_BANDWIDTH_CAP) -> Regime:
     """Which of the nine operating regions the config sits in (unique)."""
     validate_config(config)
-    return _analyze(config, route_costs(config, cap)).regime
+    return solve_with_costs(config, route_costs(config, cap)).regime
 
 
 def baseline_counts(kind: str, config: SystemConfig,
@@ -286,4 +269,4 @@ def baseline_policy(kind: str, config: SystemConfig,
     x1, x2, x3, b_total = baseline_counts(kind, config, costs)
     return PolicySolution(x1=x1, x2=x2, x3=x3, b_total_hz=b_total,
                           b_avg_hz=b_total / config.task_count,
-                          regime=_analyze(config, costs).regime, binding=())
+                          regime=solve_with_costs(config, costs).regime, binding=())

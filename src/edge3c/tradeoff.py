@@ -7,7 +7,9 @@ bandwidth traverses up to four phases separated by three turning points:
 * ``f1``: the download route's bandwidth falls below the offload route's
   (B2 crosses B3) and non-cached tasks switch from offloading to
   downloading; before this point the curve is flat, because B3 does not
-  depend on the device CPU.
+  depend on the device CPU. With the transfer costs a1, a2 and the air time
+  a3 of route 3 (see bandwidth), B2 = B3 at
+  ``f1 = w*I_total / (tau - a3*I_remote / (SE_down*(sqrt(a1) + sqrt(a2))^2))``.
 * ``f2``: local computing power k1 grows with cpu^2 until the budget stops
   covering all F tasks locally; solves k1(f2) * F = Pbar, giving
   ``f2 = sqrt(tau * Pbar / (mu * w * (I_local + I_remote)))``.
@@ -71,68 +73,31 @@ class TurningPoints:
                 "absent": dict(self.absence_reasons)}
 
 
-def power_saturation_cpu_hz(tau: float, power_budget_w: float, mu: float,
-                            cycles_per_bit: float, input_total_bits: float) -> float:
-    """CPU speed at which computing every task locally exactly exhausts the
-    power budget: sqrt(tau * Pbar / (mu * w * I_total))."""
-    if mu <= 0:
-        raise InvalidFieldError("switched_capacitance", "must be > 0 for turning points")
-    if cycles_per_bit * input_total_bits <= 0:
-        raise InvalidFieldError("cycles_per_bit*input_total_bits", "must be > 0 for turning points")
-    return math.sqrt(tau * power_budget_w / (mu * cycles_per_bit * input_total_bits))
-
-
-def cache_power_balance_cpu_hz(tau: float, task_count: int, input_remote_bits: float,
-                               cache_bits: float, power_budget_w: float, k2: float,
-                               mu: float, cycles_per_bit: float,
-                               input_total_bits: float) -> float | None:
-    """CPU speed at which the power cap on local tasks meets the cache
-    capacity (continuous form; None when the crossing cannot occur)."""
-    if mu <= 0:
-        raise InvalidFieldError("switched_capacitance", "must be > 0 for turning points")
-    if cycles_per_bit * input_total_bits <= 0:
-        raise InvalidFieldError("cycles_per_bit*input_total_bits", "must be > 0 for turning points")
-    if cache_bits <= 0 or input_remote_bits <= 0:
-        return None
-    denom = mu * cycles_per_bit * input_total_bits
-    radicand = tau * task_count * (power_budget_w - task_count * k2) * input_remote_bits \
-        / (denom * cache_bits) + tau * task_count * k2 / denom
-    if radicand < 0:
-        return None
-    return math.sqrt(radicand)
-
-
-def download_offload_crossover_cpu_hz(compute_cycles: float, tau: float,
-                                      input_remote_bits: float, se_down: float,
-                                      a1: float, a2: float, a3: float) -> float | None:
-    """CPU speed where the download route's bandwidth equals the offload
-    route's; None when the offload bandwidth stays below the download
-    bandwidth at every speed."""
-    peak = (math.sqrt(a1) + math.sqrt(a2)) ** 2
-    if peak <= 0:
-        return None
-    denom = tau - a3 * input_remote_bits / (se_down * peak)
-    if denom <= 0:
-        return None
-    return compute_cycles / denom
+def _div(num: float, den: float) -> float:
+    """num / den for a den that is > 0 in exact arithmetic: a den that
+    underflowed to 0 gives an infinity with num's sign, or 0 when num is 0."""
+    if den == 0:
+        return math.copysign(math.inf, num) if num else 0.0
+    return num / den
 
 
 def turning_points(config: SystemConfig, cap: float = DEFAULT_BANDWIDTH_CAP) -> TurningPoints:
     """The up-to-three cpu-speed turning points of the config's bandwidth curve."""
     validate_config(config)
-    t = config.task
-    mu = config.device.switched_capacitance
+    t, d = config.task, config.device
+    tau, f, pbar, mu = t.deadline_s, config.task_count, d.avg_power_w, d.switched_capacitance
     i_total = t.input_local_bits + t.input_remote_bits
     costs = route_costs(config, cap)
     absent: dict[str, str] = {}
     no_dynamic_power = mu <= 0 or t.cycles_per_bit * i_total <= 0
+    # mu * w * I_total, the dynamic-power factor in f2 and f3
+    denom = mu * t.cycles_per_bit * i_total
 
+    f2 = None
     if no_dynamic_power:
-        f2 = None
         absent["f2"] = "local computing draws no dynamic power: the budget never saturates"
     else:
-        f2 = power_saturation_cpu_hz(t.deadline_s, config.device.avg_power_w, mu,
-                                     t.cycles_per_bit, i_total)
+        f2 = math.sqrt(_div(tau * pbar, denom))
 
     f1 = None
     if t.input_remote_bits <= 0:
@@ -142,28 +107,39 @@ def turning_points(config: SystemConfig, cap: float = DEFAULT_BANDWIDTH_CAP) -> 
     elif costs.b3 == 0:
         absent["f1"] = "offload route needs no bandwidth: the download route never crosses it"
     else:
-        f1 = download_offload_crossover_cpu_hz(
-            i_total * t.cycles_per_bit, t.deadline_s, t.input_remote_bits,
-            downlink_spectral_efficiency(config), costs.a1, costs.a2, costs.a3)
-        if f1 is None:
+        # b3 > 0 makes peak > 0, but a dead downlink or an underflow can
+        # still zero se_down * peak
+        peak = (math.sqrt(costs.a1) + math.sqrt(costs.a2)) ** 2
+        slack = tau - _div(costs.a3 * t.input_remote_bits,
+                           downlink_spectral_efficiency(config) * peak)
+        if slack <= 0:
             absent["f1"] = "download bandwidth exceeds the offload bandwidth at every cpu speed"
+        else:
+            f1 = i_total * t.cycles_per_bit / slack
 
+    f3 = None
     if t.input_remote_bits <= 0:
-        f3 = None
         absent["f3"] = "no remote input: the cache bound never binds"
-    elif config.device.cache_bits <= 0:
-        f3 = None
+    elif d.cache_bits <= 0:
         absent["f3"] = "empty cache: the cache bound is fixed at zero"
     elif no_dynamic_power:
-        f3 = None
         absent["f3"] = "local computing draws no dynamic power: the cache bound never meets it"
     else:
-        f3 = cache_power_balance_cpu_hz(t.deadline_s, config.task_count,
-                                        t.input_remote_bits, config.device.cache_bits,
-                                        config.device.avg_power_w, costs.k2, mu,
-                                        t.cycles_per_bit, i_total)
-        if f3 is None:
+        k2, denom_c = costs.k2, denom * d.cache_bits
+        radicand = math.nan if denom_c == 0 else \
+            tau * f * (pbar - f * k2) * t.input_remote_bits / denom_c + tau * f * k2 / denom
+        if math.isnan(radicand):
+            # a denominator that underflowed to 0, or two terms past float
+            # range with opposite signs: the radicand has the sign of
+            # (Pbar - F*k2) * I_remote / C + k2, taken exactly
+            from fractions import Fraction
+            sign = (Fraction(pbar) - f * Fraction(k2)) * Fraction(t.input_remote_bits) \
+                / Fraction(d.cache_bits) + Fraction(k2)
+            radicand = -math.inf if sign < 0 else math.inf if sign > 0 else 0.0
+        if radicand < 0:
             absent["f3"] = "power budget below the offload-only draw: no speed balances cache and power"
+        else:
+            f3 = math.sqrt(radicand)
 
     points = {"f1": f1, "f2": f2, "f3": f3}
     for name, hz in points.items():

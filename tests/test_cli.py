@@ -71,18 +71,43 @@ def test_turning_points_shape(capsys):
     assert out["human"]["f2"].endswith("GHz")
 
 
-def test_turning_points_beyond_float_range_print_strict_json(tmp_path, capsys):
+#: reference.json overrides that put a turning point at a float edge, and the
+#: reason expected under "absent" for each point left out
+FLOAT_EDGE_CASES = {
     # a subnormal switched capacitance puts f2 and f3 past float range
+    "tiny_mu": ({"device": {"switched_capacitance": 1e-320}},
+                {"f2": "float range", "f3": "float range"}),
+    # f1's se_down * (sqrt(a1) + sqrt(a2))^2 underflows to 0
+    "f1_underflow": ({"task": {"input_local_bits": 1e-200, "output_bits": 0},
+                      "channel": {"snr_down_db": -1500}},
+                     {"f1": "exceeds the offload bandwidth"}),
+    # mu * w * I_total underflows to 0
+    "f2_underflow": ({"device": {"switched_capacitance": 1e-320},
+                      "task": {"cycles_per_bit": 1e-10}},
+                     {"f2": "float range", "f3": "float range"}),
+    # the two terms of f3's radicand overflow with opposite signs
+    "f3_nan_radicand": ({"device": {"switched_capacitance": 1e-310, "avg_power_w": 1e-3},
+                         "task": {"cycles_per_bit": 1e-10}},
+                        {"f2": "float range", "f3": "offload-only draw"}),
+}
+
+
+@pytest.mark.parametrize("overrides, reasons", FLOAT_EDGE_CASES.values(), ids=FLOAT_EDGE_CASES)
+def test_turning_points_beyond_float_range_print_strict_json(overrides, reasons, tmp_path, capsys):
     raw = json.loads((CONFIG_DIR / "reference.json").read_text())
-    raw["device"]["switched_capacitance"] = 1e-320
-    path = tmp_path / "tiny_mu.json"
+    for section, fields in overrides.items():
+        raw[section].update(fields)
+    path = tmp_path / "edge.json"
     path.write_text(json.dumps(raw))
     assert main(["turning-points", "--config", str(path), "--human"]) == 0
     out = strict_json(capsys.readouterr().out)
-    assert out["f1_hz"] > 0
-    for name in ("f2", "f3"):
-        assert out[f"{name}_hz"] is None and out["human"][name] is None
-        assert "float range" in out["absent"][name]
+    assert set(out["absent"]) == set(reasons)
+    for name in ("f1", "f2", "f3"):
+        if name in reasons:
+            assert out[f"{name}_hz"] is None and out["human"][name] is None
+            assert reasons[name] in out["absent"][name]
+        else:
+            assert out[f"{name}_hz"] > 0
 
 
 def test_sweep_csv(capsys):

@@ -5,9 +5,14 @@ The stratified sampler behind verify draws only feasible configs. This one
 also draws what it never reaches: zero payloads, an empty cache, zero
 switched capacitance, links from -30 to 40 dB, compute times on both sides
 of the deadline on each route, and power budgets on both sides of the floor.
+
+A second, wide-range sampler draws every magnitude across nearly the whole
+float range, where products underflow and overflow, and checks that the
+turning points stay finite or absent on every config the validator accepts.
 """
 
 import dataclasses
+import math
 import random
 from collections import Counter
 
@@ -15,6 +20,7 @@ from edge3c import (
     ChannelParams,
     DeviceParams,
     InfeasibleError,
+    InvalidConfigError,
     ServerParams,
     SystemConfig,
     TaskSpec,
@@ -24,12 +30,15 @@ from edge3c import (
     relative_error,
     route_costs,
     solve_optimal,
+    turning_points,
     validate_config,
 )
 
 SEED = 20201
 COUNT = 4000
 PER_TASK_MAX_F = 6
+WIDE_SEED = 20260
+WIDE_COUNT = 16_000
 
 
 def fuzz_config(rng: random.Random) -> SystemConfig:
@@ -109,3 +118,50 @@ def test_closed_form_and_oracles_agree_on_unstratified_configs():
     for branch in ("route 1 infeasible", "route 1+2 infeasible", "route 3 infeasible",
                    "latency", "power", "solved", "per-task"):
         assert seen[branch] > 0, (branch, seen)
+
+
+def wide_config(rng: random.Random) -> SystemConfig:
+    """A config, valid or not: every magnitude log-uniform over 1e-300 to
+    1e300 (a nonnegative one 0 one time in ten), and each SNR override
+    absent or in [-3200, 3200] dB."""
+    def mag() -> float:
+        return 10.0 ** rng.uniform(-300.0, 300.0)
+
+    def nonneg() -> float:
+        return 0.0 if rng.random() < 0.1 else mag()
+
+    def snr_db() -> float | None:
+        return None if rng.random() < 0.3 else rng.uniform(-3200.0, 3200.0)
+
+    return SystemConfig(
+        task_count=rng.randint(1, 1000),
+        task=TaskSpec(input_local_bits=nonneg(), input_remote_bits=nonneg(),
+                      output_bits=nonneg(), cycles_per_bit=nonneg(), deadline_s=mag()),
+        device=DeviceParams(cpu_hz=mag(), switched_capacitance=nonneg(), cache_bits=nonneg(),
+                            avg_power_w=mag(), uplink_psd=mag()),
+        server=ServerParams(cpu_hz=mag(), downlink_psd=mag()),
+        channel=ChannelParams(gain=mag(), noise_psd=mag(),
+                              snr_up_db=snr_db(), snr_down_db=snr_db()),
+    )
+
+
+def test_turning_points_return_on_wide_range_configs():
+    rng = random.Random(WIDE_SEED)
+    seen = Counter()
+    for _ in range(WIDE_COUNT):
+        config = wide_config(rng)
+        try:
+            validate_config(config)
+        except InvalidConfigError:
+            continue
+        tp = turning_points(config)
+        for name, hz in (("f1", tp.f1_hz), ("f2", tp.f2_hz), ("f3", tp.f3_hz)):
+            assert hz is None or (math.isfinite(hz) and hz >= 0), (name, hz, config)
+            reason = tp.absence_reasons.get(name, "")
+            seen[name, "finite" if hz is not None else
+                 "float range" if "float range" in reason else "no crossing"] += 1
+    # each point came out finite, past float range, and absent for a reason
+    # of its own
+    for name in ("f1", "f2", "f3"):
+        for outcome in ("finite", "float range", "no crossing"):
+            assert seen[name, outcome] > 0, seen

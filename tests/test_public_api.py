@@ -5,8 +5,10 @@ import edge3c
 
 REMOVED = (
     "Assignment", "InvalidCountsError", "RouteInfeasibleError",
+    "cache_power_balance_cpu_hz", "download_offload_crossover_cpu_hz",
     "expand_assignment", "format_bits", "format_seconds", "format_watts",
-    "route1_bandwidth", "route2_bandwidth", "route3_bandwidth", "route_power",
+    "power_saturation_cpu_hz", "route1_bandwidth", "route2_bandwidth",
+    "route3_bandwidth", "route_power",
 )
 
 

@@ -10,11 +10,8 @@ from edge3c import (
     InvalidFieldError,
     SweepSpec,
     baseline_policy,
-    cache_power_balance_cpu_hz,
     detect_breakpoints,
-    download_offload_crossover_cpu_hz,
     grid_values,
-    power_saturation_cpu_hz,
     replace_field,
     route_costs,
     rows_to_csv,
@@ -31,60 +28,43 @@ F2_REFCFG = 5425972398.6201986
 F3_REFCFG = 6563141670.0792541
 
 
-def test_power_saturation_scalar():
-    assert power_saturation_cpu_hz(1.0, 4.0, 1.0, 1.0, 4.0) == 1.0
-    assert power_saturation_cpu_hz(2.0, 8.0, 1.0, 4.0, 1.0) == 2.0
-    with pytest.raises(InvalidFieldError):
-        power_saturation_cpu_hz(1.0, 4.0, 0.0, 1.0, 4.0)
-
-
 def test_power_saturation_inversion():
-    # computing all tasks locally at the returned speed draws exactly the budget
+    # computing all tasks locally at f2 draws exactly the budget: F*k1 == Pbar
     rng = np.random.default_rng(1)
     for _ in range(100):
-        tau = 10.0 ** rng.uniform(-2, 1)
-        p = 10.0 ** rng.uniform(-1, 2)
-        mu = 10.0 ** rng.uniform(-28, -25)
-        w = rng.uniform(1, 30)
-        i_tot = 10.0 ** rng.uniform(4, 8)
-        f2 = power_saturation_cpu_hz(tau, p, mu, w, i_tot)
-        draw = mu * f2 * f2 * w * i_tot / tau
-        assert math.isclose(draw, p, rel_tol=1e-12)
+        i_remote = 10.0 ** rng.uniform(4, 8)
+        cfg = build_config(task_count=int(rng.integers(1, 400)),
+                           deadline_s=10.0 ** rng.uniform(-2, 1),
+                           avg_power_w=10.0 ** rng.uniform(-1, 2),
+                           switched_capacitance=10.0 ** rng.uniform(-28, -25),
+                           cycles_per_bit=rng.uniform(1, 30), input_remote_bits=i_remote,
+                           input_local_bits=i_remote * rng.uniform(0.0, 2.0))
+        f2 = turning_points(cfg).f2_hz
+        k1 = route_costs(replace_field(cfg, "device.cpu_hz", f2)).k1
+        assert math.isclose(cfg.task_count * k1, cfg.device.avg_power_w, rel_tol=1e-12)
 
 
 def test_cache_power_balance_inversion():
-    # at the returned speed the power bound on local tasks equals the
-    # continuous cache capacity C / I_remote
+    # at f3 the power bound on local tasks equals the continuous cache
+    # capacity: u == C / I_remote
     rng = np.random.default_rng(2)
     for _ in range(100):
         tau = 10.0 ** rng.uniform(-2, 1)
         f_count = int(rng.integers(2, 400))
         i_s = 10.0 ** rng.uniform(4, 7)
-        cache = i_s * rng.uniform(0.2, 50)
+        i_local = i_s * rng.uniform(0.01, 2.0)
         k2 = 10.0 ** rng.uniform(-4, -1)
-        p = f_count * k2 * rng.uniform(1.05, 4.0)  # keep P > F k2
-        mu = 10.0 ** rng.uniform(-28, -25)
-        w = rng.uniform(1, 30)
-        i_tot = i_s * rng.uniform(1.0, 3.0)
-        f3 = cache_power_balance_cpu_hz(tau, f_count, i_s, cache, p, k2, mu, w, i_tot)
-        k1 = mu * f3 * f3 * w * i_tot / (tau * f_count)
-        u = (p - f_count * k2) / (k1 - k2)
-        assert math.isclose(u, cache / i_s, rel_tol=1e-9)
-
-
-def test_cache_power_balance_none_cases():
-    assert cache_power_balance_cpu_hz(1.0, 2, 1.0, 0.0, 2.0, 0.5, 1.0, 1.0, 2.0) is None
-    assert cache_power_balance_cpu_hz(1.0, 2, 0.0, 1.0, 2.0, 0.5, 1.0, 1.0, 2.0) is None
-    # budget below the all-offload draw: no speed balances the two bounds
-    assert cache_power_balance_cpu_hz(1.0, 2, 1.0, 1.0, 1.0, 10.0, 1.0, 1.0, 2.0) is None
-
-
-def test_offload_crossover_scalar():
-    # a1 = 4, a2 = 9, a3 = 1, peak 25: denominator 2 - 25/25 = 1
-    assert download_offload_crossover_cpu_hz(29.0, 2.0, 25.0, 1.0, 4.0, 9.0, 1.0) == 29.0
-    # download stays above offload at every speed
-    assert download_offload_crossover_cpu_hz(1.0, 2.0, 1000.0, 1.0, 1.0, 0.0, 2.0) is None
-    assert download_offload_crossover_cpu_hz(1.0, 2.0, 5.0, 1.0, 0.0, 0.0, 2.0) is None
+        # 0 dB uplink: k2 = uplink_psd * I_local / (F * tau)
+        cfg = build_config(task_count=f_count, deadline_s=tau, input_remote_bits=i_s,
+                           input_local_bits=i_local, cache_bits=i_s * rng.uniform(0.2, 50),
+                           uplink_psd=k2 * f_count * tau / i_local,
+                           avg_power_w=f_count * k2 * rng.uniform(1.05, 4.0),  # P > F k2
+                           switched_capacitance=10.0 ** rng.uniform(-28, -25),
+                           cycles_per_bit=rng.uniform(1, 30))
+        f3 = turning_points(cfg).f3_hz
+        costs = route_costs(replace_field(cfg, "device.cpu_hz", f3))
+        u = (cfg.device.avg_power_w - f_count * costs.k2) / (costs.k1 - costs.k2)
+        assert math.isclose(u, cfg.device.cache_bits / i_s, rel_tol=1e-9)
 
 
 def test_crossover_config_costs_meet():
@@ -128,6 +108,17 @@ def test_absence_reasons():
     assert tp.f1_hz is None and tp.f2_hz is None
     assert "exceeds the offload" in tp.absence_reasons["f1"]
     assert "never saturates" in tp.absence_reasons["f2"]
+
+    # a3 = 0.5 and B3 = 2: download meets offload only at infinite cpu speed
+    tp = turning_points(build_config(input_remote_bits=4.0, cycles_per_bit=3.0,
+                                     server_cpu_hz=10.0))
+    assert tp.f1_hz is None
+    assert "exceeds the offload" in tp.absence_reasons["f1"]
+
+    tp = turning_points(build_config(switched_capacitance=0.0))
+    assert tp.f2_hz is None and tp.f3_hz is None
+    assert "never saturates" in tp.absence_reasons["f2"]
+    assert "no dynamic power: the cache bound never meets it" in tp.absence_reasons["f3"]
 
     tp = turning_points(build_config(cache_bits=0.0))
     assert tp.f3_hz is None
