@@ -33,8 +33,8 @@ from dataclasses import dataclass
 from .errors import DegenerateChannelError, InvalidFieldError
 from .model import (
     SystemConfig,
+    _power_draws,
     downlink_spectral_efficiency,
-    power_coefficients,
     uplink_spectral_efficiency,
 )
 
@@ -139,14 +139,37 @@ def route_latency(route: int, config: SystemConfig,
 def route_costs(config: SystemConfig, cap: float = DEFAULT_BANDWIDTH_CAP) -> RouteCosts:
     """Evaluate all three routes once, recording infeasibility in flags so the
     policy layer can reason over subsets. A route is infeasible when it
-    misses the deadline at every bandwidth, or needs more than ``cap``."""
+    misses the deadline at every bandwidth, or needs more than ``cap``.
+
+    In two parts, so that a deadline or CPU sweep reruns only the second:
+    ``_link_costs`` (spectral efficiencies, a1, a2) and ``_point_costs``."""
+    return _point_costs(config, _link_costs(config), config.task.deadline_s,
+                        config.device.cpu_hz, cap)
+
+
+def _link_costs(config: SystemConfig) -> tuple[float, float, float, float]:
+    """(SE_up, SE_down, a1, a2): the part of route_costs that no deadline or CPU speed changes."""
     t = config.task
-    tau = t.deadline_s
-    compute_local = local_compute_latency(config)
-    slack = tau - compute_local
-    a3 = tau - server_compute_latency(config)
     se_up = uplink_spectral_efficiency(config)
     se_down = downlink_spectral_efficiency(config)
+    # transfer costs in Hz-seconds; an infinite one (a dead link, or a cost
+    # past float range) leaves route 3 infeasible
+    a1 = 0.0 if t.input_local_bits == 0 else t.input_local_bits / se_up if se_up > 0 else math.inf
+    a2 = 0.0 if t.output_bits == 0 else t.output_bits / se_down if se_down > 0 else math.inf
+    return se_up, se_down, a1, a2
+
+
+def _point_costs(config: SystemConfig, link: tuple[float, float, float, float],
+                 tau: float, cpu_hz: float, cap: float) -> RouteCosts:
+    """route_costs of the config at deadline ``tau`` and device CPU speed
+    ``cpu_hz``, given its ``_link_costs``: compute times, slack, a3, B2, B3,
+    k1, k2 and the flags."""
+    t = config.task
+    se_up, se_down, a1, a2 = link
+    work = (t.input_local_bits + t.input_remote_bits) * t.cycles_per_bit
+    compute_local = work / cpu_hz
+    slack = tau - compute_local
+    a3 = tau - work / config.server.cpu_hz
 
     b2 = None
     if t.input_remote_bits == 0:
@@ -157,10 +180,6 @@ def route_costs(config: SystemConfig, cap: float = DEFAULT_BANDWIDTH_CAP) -> Rou
         if b2 > cap:
             b2 = None
 
-    # transfer costs in Hz-seconds; an infinite one (a dead link, or a cost
-    # past float range) leaves route 3 infeasible
-    a1 = 0.0 if t.input_local_bits == 0 else t.input_local_bits / se_up if se_up > 0 else math.inf
-    a2 = 0.0 if t.output_bits == 0 else t.output_bits / se_down if se_down > 0 else math.inf
     b3 = bu3 = bd3 = None
     if a3 > 0 and a1 < math.inf and a2 < math.inf:
         bu3, bd3 = kkt_split(a1, a2, a3)
@@ -168,7 +187,7 @@ def route_costs(config: SystemConfig, cap: float = DEFAULT_BANDWIDTH_CAP) -> Rou
         if b3 > cap:
             b3 = bu3 = bd3 = None
 
-    k1, k2 = power_coefficients(config)
+    k1, k2 = _power_draws(config, tau, cpu_hz, se_up)
     r1ok = compute_local <= tau
     return RouteCosts(b1=0.0, b2=b2, b3=b3, bu3=bu3, bd3=bd3,
                       a1=a1, a2=a2, a3=a3, k1=k1, k2=k2,

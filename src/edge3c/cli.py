@@ -79,7 +79,8 @@ def _json(payload: dict) -> str:
 def _cmd_solve(args) -> str:
     config = load_config(args.config)
     costs = route_costs(config)
-    solution = solve_with_costs(config, costs)
+    solution = solve_with_costs(config.task_count, config.device.cache_bits,
+                                config.task.input_remote_bits, config.device.avg_power_w, costs)
     payload = solution.to_dict()
     payload["routes"] = costs.to_dict()
     if args.human:
@@ -106,7 +107,8 @@ def _cmd_sweep(args) -> str:
 def _cmd_regions(args) -> str:
     config = load_config(args.config)
     costs = route_costs(config)
-    solution = solve_with_costs(config, costs)
+    solution = solve_with_costs(config.task_count, config.device.cache_bits,
+                                config.task.input_remote_bits, config.device.avg_power_w, costs)
     regime = solution.regime
     payload = {
         "regime": regime.label,

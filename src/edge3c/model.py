@@ -127,15 +127,23 @@ def power_coefficients(config: SystemConfig) -> tuple[float, float]:
 
     Both scale as 1/F and 1/tau; k1 additionally scales with f_D squared.
     """
+    t = config.task
+    se_up = uplink_spectral_efficiency(config) if t.input_local_bits > 0 else 0.0
+    return _power_draws(config, t.deadline_s, config.device.cpu_hz, se_up)
+
+
+def _power_draws(config: SystemConfig, tau: float, cpu_hz: float,
+                 se_up: float) -> tuple[float, float]:
+    """power_coefficients at deadline ``tau`` and device CPU speed ``cpu_hz``,
+    given the uplink spectral efficiency (read only with local input)."""
     t, d = config.task, config.device
     f = config.task_count
-    k1 = d.switched_capacitance * d.cpu_hz * d.cpu_hz * t.cycles_per_bit \
-        * (t.input_local_bits + t.input_remote_bits) / (t.deadline_s * f)
+    k1 = d.switched_capacitance * cpu_hz * cpu_hz * t.cycles_per_bit \
+        * (t.input_local_bits + t.input_remote_bits) / (tau * f)
     if t.input_local_bits > 0:
-        se_up = uplink_spectral_efficiency(config)
         if se_up <= 0:
             raise DegenerateChannelError("uplink spectral efficiency is 0 but the local input must be uploaded")
-        denom = f * t.deadline_s * se_up
+        denom = f * tau * se_up
         # a denominator that underflows to 0 puts k2 past float range
         k2 = d.uplink_psd * t.input_local_bits / denom if denom > 0 else math.inf
     else:
@@ -222,16 +230,24 @@ def derived_violation(config: SystemConfig) -> InvalidFieldError | None:
     speed can overflow k1. Either would give the closed form and the oracles
     no common answer.
     """
-    uplink = "device.uplink_psd" if config.channel.snr_up_db is None else "channel.snr_up_db"
     try:
         k1, k2 = power_coefficients(config)
     except DegenerateChannelError:
-        return InvalidFieldError(uplink, "gives an uplink spectral efficiency of 0, "
-                                         "but the local input must be uploaded")
+        return InvalidFieldError(_uplink_field(config), "gives an uplink spectral efficiency of 0, "
+                                                        "but the local input must be uploaded")
+    return _draws_violation(config, k1, k2)
+
+
+def _uplink_field(config: SystemConfig) -> str:
+    return "device.uplink_psd" if config.channel.snr_up_db is None else "channel.snr_up_db"
+
+
+def _draws_violation(config: SystemConfig, k1: float, k2: float) -> InvalidFieldError | None:
+    """The violation of the rule that the power draws k1, k2 are finite, or None."""
     if not math.isfinite(k1):
         return InvalidFieldError("device.cpu_hz", "makes the local computing power k1 overflow")
     if not math.isfinite(k2):
-        return InvalidFieldError(uplink, "makes the uplink power k2 overflow")
+        return InvalidFieldError(_uplink_field(config), "makes the uplink power k2 overflow")
     return None
 
 

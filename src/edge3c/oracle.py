@@ -173,7 +173,8 @@ def run_verification(trials: int = 1000, seed: int = 0,
     def one(trial: int) -> tuple[float, str]:
         config = sample_config(seed, trial)  # already validated
         costs = route_costs(config)
-        solved = solve_with_costs(config, costs)
+        solved = solve_with_costs(config.task_count, config.device.cache_bits,
+                                  config.task.input_remote_bits, config.device.avg_power_w, costs)
         reference = enumerate_optimal(config, costs=costs)
         return relative_error(solved.b_total_hz, reference.b_total_hz), solved.regime.label
 

@@ -117,27 +117,29 @@ def _power_floor(f: int, qf: int, costs: RouteCosts) -> float:
     return f * k1
 
 
-def solve_with_costs(config: SystemConfig, costs: RouteCosts) -> PolicySolution:
-    """solve_optimal for a config already validated, from its route costs."""
-    f = config.task_count
+def solve_with_costs(f: int, cache_bits: float, input_remote_bits: float, avg_power_w: float,
+                     costs: RouteCosts) -> PolicySolution:
+    """solve_optimal for a config already validated, from the four scalars
+    it reads besides the route costs: the task count F, the cache size C,
+    the remote input size I_remote and the power budget Pbar. A sweep point
+    passes its swept value in place of the config's own."""
     k1, k2 = costs.k1, costs.k2
     r2, r3 = costs.route12_feasible, costs.route3_feasible
 
-    qf = cache_task_capacity(config.device.cache_bits, config.task.input_remote_bits, f) \
-        if costs.route1_feasible else 0
+    qf = cache_task_capacity(cache_bits, input_remote_bits, f) if costs.route1_feasible else 0
 
     reachable = qf + (f if r2 else 0) + (f if r3 else 0)
     if reachable < f:
         raise InfeasibleError("latency", "feasible routes cannot cover the task set")
     pmin = _power_floor(f, qf, costs)
-    if not within_budget(pmin, config.device.avg_power_w):
+    if not within_budget(pmin, avg_power_w):
         raise InfeasibleError("power", "minimum achievable power exceeds the budget")
 
     k1_gt = k1 > k2
     k1_eq = k1 == k2
     u = None
     if not k1_eq:
-        u = (config.device.avg_power_w - f * k2) / (k1 - k2)
+        u = (avg_power_w - f * k2) / (k1 - k2)
     # Bounds on x1 + x2 from the power budget, clamped into [0, F] before the
     # integer rounding: a near-zero k1 - k2 can push u to huge magnitudes or
     # infinity, and beyond F (or below 0) its exact value carries no
@@ -214,43 +216,42 @@ def solve_with_costs(config: SystemConfig, costs: RouteCosts) -> PolicySolution:
 def solve_optimal(config: SystemConfig, cap: float = DEFAULT_BANDWIDTH_CAP) -> PolicySolution:
     """Closed-form bandwidth-minimal route counts for the task set."""
     validate_config(config)
-    return solve_with_costs(config, route_costs(config, cap))
+    d = config.device
+    return solve_with_costs(config.task_count, d.cache_bits, config.task.input_remote_bits,
+                            d.avg_power_w, route_costs(config, cap))
 
 
 def classify_regime(config: SystemConfig, cap: float = DEFAULT_BANDWIDTH_CAP) -> Regime:
     """Which of the nine operating regions the config sits in (unique)."""
-    validate_config(config)
-    return solve_with_costs(config, route_costs(config, cap)).regime
+    return solve_optimal(config, cap).regime
 
 
-def baseline_counts(kind: str, config: SystemConfig,
-                    costs: RouteCosts) -> tuple[int, int, int, float]:
+def baseline_counts(kind: str, f: int, cache_bits: float, input_remote_bits: float,
+                    avg_power_w: float, costs: RouteCosts) -> tuple[int, int, int, float]:
     """(x1, x2, x3, total bandwidth) of a baseline policy for a config already
-    validated, from its route costs; raises InfeasibleError when the baseline
-    cannot serve the task set."""
-    f = config.task_count
-    budget = config.device.avg_power_w
+    validated, from the same four scalars as solve_with_costs (F, C,
+    I_remote, Pbar) and the route costs; raises InfeasibleError when the
+    baseline cannot serve the task set."""
     if kind == "mec_only":
         if not costs.route3_feasible:
             raise InfeasibleError("latency", "offload route cannot meet the deadline")
-        if not power_within_budget(costs.k1, costs.k2, 0, f, budget):
+        if not power_within_budget(costs.k1, costs.k2, 0, f, avg_power_w):
             raise InfeasibleError("power", "offloading every task exceeds the power budget")
         return 0, 0, f, costs.b3 * f
     if kind == "local_only":
-        x1 = cache_task_capacity(config.device.cache_bits, config.task.input_remote_bits, f) \
-            if costs.route1_feasible else 0
+        x1 = cache_task_capacity(cache_bits, input_remote_bits, f) if costs.route1_feasible else 0
         x2 = f - x1
         if x2 > 0 and not costs.route12_feasible:
             raise InfeasibleError("latency", "download-and-compute route cannot meet the deadline")
         if x2 == 0 and not costs.route1_feasible:
             raise InfeasibleError("latency", "local compute cannot meet the deadline")
-        if not power_within_budget(costs.k1, costs.k2, f, 0, budget):
+        if not power_within_budget(costs.k1, costs.k2, f, 0, avg_power_w):
             raise InfeasibleError("power", "computing every task locally exceeds the power budget")
         return x1, x2, 0, costs.b2 * x2 if x2 else 0.0
     if kind == "local_no_cache":
         if not costs.route12_feasible:
             raise InfeasibleError("latency", "download-and-compute route cannot meet the deadline")
-        if not power_within_budget(costs.k1, costs.k2, f, 0, budget):
+        if not power_within_budget(costs.k1, costs.k2, f, 0, avg_power_w):
             raise InfeasibleError("power", "computing every task locally exceeds the power budget")
         return 0, f, 0, costs.b2 * f
     raise InvalidFieldError("kind", f"unknown baseline {kind!r}")
@@ -266,7 +267,9 @@ def baseline_policy(kind: str, config: SystemConfig,
     optimum is infeasible raises too."""
     validate_config(config)
     costs = route_costs(config, cap)
-    x1, x2, x3, b_total = baseline_counts(kind, config, costs)
+    scalars = (config.task_count, config.device.cache_bits, config.task.input_remote_bits,
+               config.device.avg_power_w)
+    x1, x2, x3, b_total = baseline_counts(kind, *scalars, costs)
     return PolicySolution(x1=x1, x2=x2, x3=x3, b_total_hz=b_total,
                           b_avg_hz=b_total / config.task_count,
-                          regime=solve_with_costs(config, costs).regime, binding=())
+                          regime=solve_with_costs(*scalars, costs).regime, binding=())

@@ -20,10 +20,11 @@ bandwidth traverses up to four phases separated by three turning points:
               + tau*F*k2 / (mu*w*I_total))``.
 
 Each point is absent (with a recorded reason) when its defining crossing
-cannot occur, or lies at a cpu speed beyond float range. Sweeps re-solve the
-policy on a value grid for one parameter, mark infeasible points rather than
-dropping them, and serialize to a fixed CSV schema; regime-label changes
-between consecutive grid points locate the turning points empirically.
+cannot occur, or lies at a cpu speed beyond float range or, positive but 0
+in floats, below it. Sweeps re-solve the policy on a value grid for one
+parameter, mark infeasible points rather than dropping them, and serialize
+to a fixed CSV schema; regime-label changes between consecutive grid points
+locate the turning points empirically.
 """
 
 from __future__ import annotations
@@ -31,14 +32,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .bandwidth import DEFAULT_BANDWIDTH_CAP, route_costs
+from .bandwidth import DEFAULT_BANDWIDTH_CAP, _link_costs, _point_costs, route_costs
 from .errors import InfeasibleError, InvalidFieldError, TooLargeError
 from .model import (
     SystemConfig,
-    derived_violation,
+    _draws_violation,
     downlink_spectral_efficiency,
     field_violation,
-    replace_field,
     validate_config,
 )
 from .policy import PolicySolution, baseline_counts, solve_with_costs
@@ -118,6 +118,7 @@ def turning_points(config: SystemConfig, cap: float = DEFAULT_BANDWIDTH_CAP) -> 
             f1 = i_total * t.cycles_per_bit / slack
 
     f3 = None
+    f3_exact_zero = False
     if t.input_remote_bits <= 0:
         absent["f3"] = "no remote input: the cache bound never binds"
     elif d.cache_bits <= 0:
@@ -126,26 +127,42 @@ def turning_points(config: SystemConfig, cap: float = DEFAULT_BANDWIDTH_CAP) -> 
         absent["f3"] = "local computing draws no dynamic power: the cache bound never meets it"
     else:
         k2, denom_c = costs.k2, denom * d.cache_bits
-        radicand = math.nan if denom_c == 0 else \
-            tau * f * (pbar - f * k2) * t.input_remote_bits / denom_c + tau * f * k2 / denom
-        if math.isnan(radicand):
-            # a denominator that underflowed to 0, or two terms past float
-            # range with opposite signs: the radicand has the sign of
+        # the radicand's two terms; the second is >= 0
+        term1 = math.nan if denom_c == 0 else \
+            tau * f * (pbar - f * k2) * t.input_remote_bits / denom_c
+        term2 = math.nan if denom == 0 else tau * f * k2 / denom
+        radicand = term1 + term2
+        if not radicand > 0 or math.copysign(1.0, term1) != math.copysign(1.0, term2):
+            # terms of opposite signs, or one that under- or overflowed, can
+            # give the float sum the wrong sign: the radicand has the sign of
             # (Pbar - F*k2) * I_remote / C + k2, taken exactly
             from fractions import Fraction
             sign = (Fraction(pbar) - f * Fraction(k2)) * Fraction(t.input_remote_bits) \
                 / Fraction(d.cache_bits) + Fraction(k2)
-            radicand = -math.inf if sign < 0 else math.inf if sign > 0 else 0.0
+            f3_exact_zero = sign == 0
+            if sign <= 0:
+                radicand = -math.inf if sign < 0 else 0.0
+            elif not radicand >= 0:
+                # a NaN or negative sum of a positive radicand: a term past
+                # float range, as with a denominator that underflowed to 0
+                radicand = math.inf
         if radicand < 0:
             absent["f3"] = "power budget below the offload-only draw: no speed balances cache and power"
         else:
             f3 = math.sqrt(radicand)
 
     points = {"f1": f1, "f2": f2, "f3": f3}
+    # f1 of tasks that take no cycles and f3 of an exactly-0 radicand are 0
+    # in exact arithmetic; any other 0 is an underflow
+    exact_zero = {"f1": t.cycles_per_bit == 0, "f3": f3_exact_zero}
     for name, hz in points.items():
         if hz is not None and not math.isfinite(hz):
             points[name] = None
             absent[name] = "the crossing lies beyond float range: no finite cpu speed reaches it"
+        elif hz == 0 and not exact_zero.get(name):
+            points[name] = None
+            absent[name] = "below float range: the crossing's cpu speed is positive, " \
+                           "but its float evaluation underflows to 0"
     return TurningPoints(f1_hz=points["f1"], f2_hz=points["f2"], f3_hz=points["f3"],
                          absence_reasons=absent)
 
@@ -203,35 +220,52 @@ def sweep(config: SystemConfig, spec: SweepSpec,
 
     Infeasible grid points become error rows, not gaps, and so do values the
     validator rejects: the swept field's own rule, or the derived power draws
-    (a huge CPU speed overflows k1). The base config is validated once; each
-    point's route costs are computed once and give the optimum and every
-    baseline. A baseline cell is None when the baseline or the optimum is
-    infeasible.
+    (a huge CPU speed overflows k1, a tiny deadline k2). The base config is
+    validated once and no point builds a config. ``cache_bits`` and
+    ``avg_power_w`` change no route cost, so one route_costs result serves
+    the whole grid; ``device_cpu_hz`` and ``deadline_s`` points rerun only
+    the per-point part of route_costs. A point's costs give the optimum and
+    every baseline; a baseline cell is None when the baseline or the
+    optimum is infeasible.
     """
     validate_config(config)
     spec.validate()
-    dotted = SWEEP_PARAMETERS[spec.parameter]
+    param = spec.parameter
+    dotted = SWEEP_PARAMETERS[param]
+    f, i_remote, d = config.task_count, config.task.input_remote_bits, config.device
+    point = {"cache_bits": d.cache_bits, "device_cpu_hz": d.cpu_hz,
+             "avg_power_w": d.avg_power_w, "deadline_s": config.task.deadline_s}
+    moves_costs = param in ("device_cpu_hz", "deadline_s")
+    if moves_costs:
+        link = _link_costs(config)
+    else:
+        costs = route_costs(config, cap)
     rows = []
     for value in grid_values(spec):
         solution = None
         error = None
         baselines = dict.fromkeys(spec.baselines)
-        cfg = replace_field(config, dotted, value) if field_violation(dotted, value) is None else None
-        if cfg is None or derived_violation(cfg) is not None:
+        if field_violation(dotted, value) is not None:
             error = "invalid_config"
         else:
-            costs = route_costs(cfg, cap)
+            point[param] = value
+            if moves_costs:
+                costs = _point_costs(config, link, point["deadline_s"], point["device_cpu_hz"], cap)
+                if _draws_violation(config, costs.k1, costs.k2) is not None:
+                    error = "invalid_config"
+        if error is None:
+            scalars = (f, point["cache_bits"], i_remote, point["avg_power_w"])
             try:
-                solution = solve_with_costs(cfg, costs)
+                solution = solve_with_costs(*scalars, costs)
             except InfeasibleError as exc:
                 error = exc.constraint
             else:
                 for kind in spec.baselines:
                     try:
-                        baselines[kind] = baseline_counts(kind, cfg, costs)[3]
+                        baselines[kind] = baseline_counts(kind, *scalars, costs)[3]
                     except InfeasibleError:
                         pass
-        rows.append(SweepRow(parameter=spec.parameter, value=value, solution=solution,
+        rows.append(SweepRow(parameter=param, value=value, solution=solution,
                              error=error, baselines=baselines))
     return rows
 

@@ -89,6 +89,18 @@ FLOAT_EDGE_CASES = {
     "f3_nan_radicand": ({"device": {"switched_capacitance": 1e-310, "avg_power_w": 1e-3},
                          "task": {"cycles_per_bit": 1e-10}},
                         {"f2": "float range", "f3": "offload-only draw"}),
+    # w * I_total / slack underflows to 0
+    "f1_below_range": ({"task": {"cycles_per_bit": 1e-320, "deadline_s": 1e20}},
+                       {"f1": "below float range", "f2": "float range", "f3": "float range"}),
+    # tau * Pbar underflows to 0
+    "f2_below_range": ({"task": {"deadline_s": 1e-200}, "device": {"avg_power_w": 1e-200}},
+                       {"f1": "offload route infeasible", "f2": "below float range",
+                        "f3": "offload-only draw"}),
+    # with k2 = 0, both terms of f3's radicand underflow to 0
+    "f3_below_range": ({"task": {"input_local_bits": 0, "deadline_s": 1e-200},
+                        "device": {"avg_power_w": 1e-200}},
+                       {"f1": "offload route infeasible", "f2": "below float range",
+                        "f3": "below float range"}),
 }
 
 

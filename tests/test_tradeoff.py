@@ -1,8 +1,11 @@
 import math
+import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import edge3c.model
 from edge3c import (
     Edge3cError,
     InfeasibleError,
@@ -18,9 +21,11 @@ from edge3c import (
     solve_optimal,
     sweep,
     turning_points,
+    validate_config,
 )
 from edge3c.tradeoff import BASELINE_KINDS, INF_TOKEN, MAX_SWEEP_STEPS, SWEEP_PARAMETERS, SweepRow
 from conftest import build_config
+from test_fuzz import fuzz_config, wide_config
 
 # 50-digit evaluations of the three turning points of the reference config
 F1_REFCFG = 3452613191.6823191
@@ -128,6 +133,30 @@ def test_absence_reasons():
     assert tp.f3_hz is None
     assert "offload-only draw" in tp.absence_reasons["f3"]
 
+    # tasks that take no cycles: download undercuts offload at every speed,
+    # so the crossing sits at exactly 0 Hz, which is kept
+    tp = turning_points(build_config(cycles_per_bit=0.0, input_remote_bits=0.5))
+    assert tp.f1_hz == 0.0 and "f1" not in tp.absence_reasons
+
+
+def test_f3_reason_takes_the_exact_radicand_sign():
+    # a wide-range draw of tests/test_fuzz.py (seed 20260): the first term
+    # of f3's radicand underflows to -0.0 and the second is positive, so the
+    # float sum is positive while the exact radicand is negative
+    cfg = build_config(task_count=49, input_local_bits=4.024358466646795e-98,
+                       input_remote_bits=5.012821122538432e+294,
+                       output_bits=1.8937742968848985e-154, cycles_per_bit=5.823736660337069e-270,
+                       deadline_s=1.4889841773919064e-238, cpu_hz=1.307584087524439e-83,
+                       switched_capacitance=1.5002155801116434e+60,
+                       cache_bits=1.8623798357699268e+266, avg_power_w=1.4240678585047889e-36,
+                       uplink_psd=6.672184902573947e-86, server_cpu_hz=1.8901227893556615e-300,
+                       downlink_psd=3.987735992744227e-46, gain=5.435034188573172e+198,
+                       noise_psd=1.162786436731023e-40, snr_up_db=212.57813104236266,
+                       snr_down_db=None)
+    tp = turning_points(cfg)
+    assert tp.f3_hz is None
+    assert "offload-only draw" in tp.absence_reasons["f3"]
+
 
 def test_grid_values_exact():
     lin = grid_values(SweepSpec("avg_power_w", 0.0, 1.0, 3).validate())
@@ -197,36 +226,125 @@ EQUIVALENCE_GRIDS = (
     ("avg_power_w", 0.5, 100.0),
     ("deadline_s", 0.005, 1.0),
 )
+#: configs drawn per sampler of tests/test_fuzz.py, and steps per grid on them
+DRAWN_CONFIGS = 6
+DRAWN_STEPS = 30
 
 
-@pytest.mark.parametrize("config_name", ["reference", "relaxed_deadline"])
-def test_sweep_matches_per_point_public_calls(config_name, request):
-    config = request.getfixturevalue(f"{config_name}_config")
-    errors = set()
+def drawn_configs(sampler, seed):
+    rng = random.Random(seed)
+    configs = []
+    while len(configs) < DRAWN_CONFIGS:
+        config = sampler(rng)
+        try:
+            configs.append(validate_config(config))
+        except InvalidConfigError:
+            pass
+    return configs
+
+
+def shipped_specs(steps):
     for param, start, stop in EQUIVALENCE_GRIDS:
-        for log_scale in (False, True):
-            lo = 1e6 if log_scale and start <= 0 else start
-            spec = SweepSpec(param, lo, stop, 60, baselines=BASELINE_KINDS, log_scale=log_scale)
+        yield SweepSpec(param, start, stop, steps, BASELINE_KINDS)
+        yield SweepSpec(param, 1e6 if start <= 0 else start, stop, steps, BASELINE_KINDS,
+                        log_scale=True)
+
+
+def relative_specs(config, steps):
+    """Linear and log grids of every parameter around the config's own value."""
+    for param, dotted in SWEEP_PARAMETERS.items():
+        section, _, name = dotted.partition(".")
+        v = getattr(getattr(config, section), name)
+        yield SweepSpec(param, -v or -1.0, 4.0 * v or 1.0, steps, BASELINE_KINDS)
+        yield SweepSpec(param, (v or 1.0) / 1e3, min((v or 1.0) * 1e3, 1e308), steps,
+                        BASELINE_KINDS, log_scale=True)
+
+
+def overflow_specs(config, steps):
+    """A log CPU grid up to 1e200 Hz, where k1 overflows, and a log deadline
+    grid down to 1e-300 of the config's own, where k1 or k2 does."""
+    cpu_hz, tau = config.device.cpu_hz, config.task.deadline_s
+    if cpu_hz < 1e200:
+        yield SweepSpec("device_cpu_hz", cpu_hz, 1e200, steps, BASELINE_KINDS, log_scale=True)
+    yield SweepSpec("deadline_s", max(tau * 1e-300, 5e-324), tau, steps, BASELINE_KINDS,
+                    log_scale=True)
+
+
+def sweep_cases(config_name, request):
+    """(config, grid specs) pairs of one config source."""
+    if config_name in ("reference", "relaxed_deadline"):
+        config = request.getfixturevalue(f"{config_name}_config")
+        return [(config, [*shipped_specs(60), *overflow_specs(config, 60)])]
+    sampler, seed = {"fuzz": (fuzz_config, 7), "wide": (wide_config, 8)}[config_name]
+    return [(config, [*relative_specs(config, DRAWN_STEPS), *overflow_specs(config, DRAWN_STEPS)])
+            for config in drawn_configs(sampler, seed)]
+
+
+def row_kind(error, exc):
+    """The error of a row, with an invalid one split by the rule it broke."""
+    if error != "invalid_config":
+        return error
+    reason = exc.violations[0].reason
+    return "invalid: k1" if "k1 overflow" in reason else \
+        "invalid: k2" if "k2 overflow" in reason else "invalid: field rule"
+
+
+@pytest.mark.parametrize("config_name", ["reference", "relaxed_deadline", "fuzz", "wide"])
+def test_sweep_matches_per_point_public_calls(config_name, request):
+    # every row equals what replace_field and the public solvers give on
+    # that point, on the shipped configs and on configs drawn by both
+    # samplers of tests/test_fuzz.py
+    kinds = set()
+    for config, specs in sweep_cases(config_name, request):
+        for spec in specs:
             rows = sweep(config, spec)
             assert [r.value for r in rows] == grid_values(spec)
             for row in rows:
-                cfg = replace_field(config, SWEEP_PARAMETERS[param], row.value)
+                cfg = replace_field(config, SWEEP_PARAMETERS[spec.parameter], row.value)
+                exc = None
                 try:
                     expected, error = solve_optimal(cfg), None
-                except InfeasibleError as exc:
-                    expected, error = None, exc.constraint
-                except InvalidConfigError:
-                    expected, error = None, "invalid_config"
-                assert repr(row.solution) == repr(expected)
-                assert row.error == error
-                errors.add(error)
+                except InfeasibleError as e:
+                    expected, error = None, e.constraint
+                except InvalidConfigError as e:
+                    expected, error, exc = None, "invalid_config", e
+                assert repr(row.solution) == repr(expected), (spec, row.value)
+                assert row.error == error, (spec, row.value)
+                kinds.add(row_kind(error, exc))
                 for kind in BASELINE_KINDS:
                     try:
                         want = baseline_policy(kind, cfg).b_total_hz
                     except Edge3cError:
                         want = None
-                    assert repr(row.baselines[kind]) == repr(want)
-    assert errors == {None, "invalid_config", "power", "latency"}
+                    assert repr(row.baselines[kind]) == repr(want), (spec, row.value, kind)
+    # a k2 that overflows before k1 needs a draw from the wide sampler
+    want = {None, "power", "latency", "invalid: field rule", "invalid: k1"}
+    assert want | ({"invalid: k2"} if config_name == "wide" else set()) <= kinds, kinds
+
+
+@pytest.mark.parametrize("param", sorted(SWEEP_PARAMETERS))
+def test_sweep_costs_only_what_its_parameter_changes(param, reference_config, monkeypatch):
+    # no point builds a config or checks its power draws through the
+    # validator, and a cache or power sweep costs its routes once
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr("edge3c.tradeoff.route_costs", counting("route_costs", route_costs))
+    for name in ("replace_field", "derived_violation"):
+        fn = getattr(edge3c.model, name)
+        monkeypatch.setattr(f"edge3c.model.{name}", counting(name, fn))
+        monkeypatch.setattr(f"edge3c.tradeoff.{name}", counting(name, fn), raising=False)
+    _, start, stop = next(g for g in EQUIVALENCE_GRIDS if g[0] == param)
+    rows = sweep(reference_config, SweepSpec(param, start, stop, 50, BASELINE_KINDS))
+    assert len(rows) == 50
+    assert calls["route_costs"] == (1 if param in ("cache_bits", "avg_power_w") else 0)
+    assert calls["replace_field"] == 0
+    assert calls["derived_violation"] == 1  # validating the base config
 
 
 def test_detect_breakpoints_on_power_sweep():
