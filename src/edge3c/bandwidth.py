@@ -28,7 +28,7 @@ guards near-singular denominators just before true infeasibility.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DegenerateChannelError, InvalidFieldError
 from .model import (
@@ -41,8 +41,7 @@ from .model import (
 DEFAULT_BANDWIDTH_CAP = 1e12  # Hz
 
 
-@dataclass(frozen=True)
-class RouteCosts:
+class RouteCosts(NamedTuple):
     """Per-route bandwidths and power draws of a config, with feasibility flags.
 
     b2/b3 are None when the corresponding route cannot meet the deadline

@@ -23,12 +23,11 @@ triple (a warning is emitted at load time when both are usable).
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import ConfigParseError, DegenerateChannelError, InvalidConfigError, InvalidFieldError
 from .units import parse_quantity
@@ -36,8 +35,7 @@ from .units import parse_quantity
 _LN2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
-class TaskSpec:
+class TaskSpec(NamedTuple):
     input_local_bits: float        # generated at the device
     input_remote_bits: float       # originates remotely; cacheable
     output_bits: float
@@ -45,8 +43,7 @@ class TaskSpec:
     deadline_s: float
 
 
-@dataclass(frozen=True)
-class DeviceParams:
+class DeviceParams(NamedTuple):
     cpu_hz: float
     switched_capacitance: float    # effective switched capacitance of the CPU
     cache_bits: float
@@ -54,22 +51,19 @@ class DeviceParams:
     uplink_psd: float              # transmit PSD, W/Hz
 
 
-@dataclass(frozen=True)
-class ServerParams:
+class ServerParams(NamedTuple):
     cpu_hz: float
     downlink_psd: float            # W/Hz
 
 
-@dataclass(frozen=True)
-class ChannelParams:
+class ChannelParams(NamedTuple):
     gain: float                    # amplitude gain; SNR uses gain^2
     noise_psd: float               # W/Hz
     snr_up_db: float | None = None     # optional overrides; dB wins over the
     snr_down_db: float | None = None   # PSD triple when both are present
 
 
-@dataclass(frozen=True)
-class SystemConfig:
+class SystemConfig(NamedTuple):
     task_count: int
     task: TaskSpec
     device: DeviceParams
@@ -367,11 +361,12 @@ def load_config(path) -> SystemConfig:
 
 
 def config_to_dict(config: SystemConfig) -> dict:
-    out = dataclasses.asdict(config)
-    ch = out["channel"]
-    for key in ("snr_up_db", "snr_down_db"):
-        if ch[key] is None:
-            del ch[key]
+    out = {"task_count": config.task_count}
+    for section, _, fields in _FIELDS:
+        values = getattr(config, section)
+        # an absent optional field (an SNR override) is left out
+        out[section] = {name: getattr(values, name) for name, _, rule in fields
+                        if rule is not _finite_if_present or getattr(values, name) is not None}
     return out
 
 
@@ -379,6 +374,5 @@ def replace_field(config: SystemConfig, dotted: str, value) -> SystemConfig:
     """Return a copy with one dotted field replaced, e.g. ("device.cpu_hz", 2e9)."""
     section, _, name = dotted.partition(".")
     if not name:
-        return dataclasses.replace(config, **{section: value})
-    inner = getattr(config, section)
-    return dataclasses.replace(config, **{section: dataclasses.replace(inner, **{name: value})})
+        return config._replace(**{section: value})
+    return config._replace(**{section: getattr(config, section)._replace(**{name: value})})

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bandwidth import DEFAULT_BANDWIDTH_CAP, RouteCosts, route_costs
 from .bounds import TIE_REL, cache_task_capacity, power_within_budget, within_budget
@@ -27,8 +27,7 @@ from .parallel import ordered_map
 MAX_TRIALS = 100_000
 
 
-@dataclass(frozen=True)
-class OracleSolution:
+class OracleSolution(NamedTuple):
     x1: int
     x2: int
     x3: int

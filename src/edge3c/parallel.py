@@ -8,7 +8,6 @@ EDGE3C_THREADS environment variable caps the pool size.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 from .errors import InvalidFieldError
 
@@ -36,5 +35,7 @@ def ordered_map(fn, items, threads: int | None = None) -> list:
     items = list(items)
     if n == 1 or len(items) <= 1:
         return [fn(x) for x in items]
+    # imported here so that a run without a pool never loads concurrent.futures
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=n) as pool:
         return list(pool.map(fn, items))

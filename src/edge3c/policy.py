@@ -29,6 +29,9 @@ direction the power budget cuts:
 * k1 == k2: the mix does not move total power, so the bound is treated as
   absent (only the F * k1 <= Pbar feasibility pre-check applies).
 
+In floats, U and L are the counts that ``bounds.power_within_budget``, the
+budget rule of the oracles, accepts at the bound.
+
 When a route cannot meet the deadline at any bandwidth the same objective is
 minimized over the remaining routes; coverage is checked first (latency), then
 the minimum achievable power (power), so infeasibility is reported with the
@@ -41,18 +44,18 @@ relative to the cache capacity and F.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from typing import NamedTuple
 
 from .bandwidth import DEFAULT_BANDWIDTH_CAP, RouteCosts, route_costs
-from .bounds import cache_task_capacity, ceil_eps, floor_eps, power_within_budget, within_budget
+from .bounds import REL_EPS, cache_task_capacity, power_within_budget, within_budget
 from .errors import InfeasibleError, InvalidFieldError
 from .model import SystemConfig, validate_config
 
 _BINDING_ORDER = ("cache", "power", "tasks", "latency")
 
 
-@dataclass(frozen=True)
-class Regime:
+class Regime(NamedTuple):
     """One of the nine operating regions, with its defining conditions."""
 
     label: str
@@ -84,8 +87,7 @@ REGIME_LABELS = tuple(r.label for r in REGIMES)
 _REGIME_BY_KEY = {(r.k1_gt_k2, r.b3_gt_b2, r.detail): r for r in REGIMES}
 
 
-@dataclass(frozen=True)
-class PolicySolution:
+class PolicySolution(NamedTuple):
     x1: int
     x2: int
     x3: int
@@ -136,22 +138,28 @@ def solve_with_costs(f: int, cache_bits: float, input_remote_bits: float, avg_po
         raise InfeasibleError("power", "minimum achievable power exceeds the budget")
 
     k1_gt = k1 > k2
-    k1_eq = k1 == k2
-    u = None
-    if not k1_eq:
-        u = (avg_power_w - f * k2) / (k1 - k2)
-    # Bounds on x1 + x2 from the power budget, clamped into [0, F] before the
-    # integer rounding: a near-zero k1 - k2 can push u to huge magnitudes or
-    # infinity, and beyond F (or below 0) its exact value carries no
-    # information anyway.
-    if k1_gt:
-        upper = f if u >= f else max(0, floor_eps(u))
-        lower = 0
-    elif k1_eq:
-        upper, lower = None, 0
-    else:
-        upper = None
-        lower = 0 if u <= 0 else (f if u >= f else max(0, min(f, ceil_eps(u))))
+    upper, lower = None, 0
+    if k1 != k2:
+        # Bounds on x1 + x2 from the power budget. u is where the budget's
+        # tolerance window ends, as a count of local tasks, clamped into
+        # [0, F] before rounding: a near-zero k1 - k2 can push it to huge
+        # magnitudes or infinity. One step either way settles the count on
+        # power_within_budget, the oracles' rule; more steps would only walk
+        # float noise, which spans many counts at huge F.
+        u = (avg_power_w * (1.0 + REL_EPS) - f * k2) / (k1 - k2)
+        n = 0 if u <= 0 else (f if u >= f else (math.floor(u) if k1_gt else math.ceil(u)))
+        if k1_gt:
+            if n < f and power_within_budget(k1, k2, n + 1, f - n - 1, avg_power_w):
+                n += 1
+            elif n > 0 and not power_within_budget(k1, k2, n, f - n, avg_power_w):
+                n -= 1
+            upper = n
+        else:
+            if n > 0 and power_within_budget(k1, k2, n - 1, f - n + 1, avg_power_w):
+                n -= 1
+            elif n < f and not power_within_budget(k1, k2, n, f - n, avg_power_w):
+                n += 1
+            lower = n
 
     b2_eff = costs.b2 if r2 else float("inf")
     b3_eff = costs.b3 if r3 else float("inf")

@@ -30,7 +30,7 @@ locate the turning points empirically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .bandwidth import DEFAULT_BANDWIDTH_CAP, _link_costs, _point_costs, route_costs
 from .errors import InfeasibleError, InvalidFieldError, TooLargeError
@@ -61,12 +61,11 @@ INF_TOKEN = "INF"
 MAX_SWEEP_STEPS = 100_000
 
 
-@dataclass(frozen=True)
-class TurningPoints:
+class TurningPoints(NamedTuple):
     f1_hz: float | None
     f2_hz: float | None
     f3_hz: float | None
-    absence_reasons: dict = field(default_factory=dict)
+    absence_reasons: dict
 
     def to_dict(self) -> dict:
         return {"f1_hz": self.f1_hz, "f2_hz": self.f2_hz, "f3_hz": self.f3_hz,
@@ -167,8 +166,7 @@ def turning_points(config: SystemConfig, cap: float = DEFAULT_BANDWIDTH_CAP) -> 
                          absence_reasons=absent)
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(NamedTuple):
     parameter: str
     start: float
     stop: float
@@ -196,8 +194,7 @@ class SweepSpec:
         return self
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     parameter: str
     value: float
     solution: PolicySolution | None

@@ -182,32 +182,42 @@ def test_thread_env_does_not_change_output():
     assert serial.stdout == threaded.stdout
 
 
-def numpy_loaded_after(*commands) -> bool:
-    """Whether a fresh interpreter has numpy loaded after running each CLI
-    command through edge3c.cli.main."""
+def modules_loaded_by(*commands, threads=None) -> set[str]:
+    """The modules a fresh interpreter loads to import edge3c.cli and run
+    each CLI command through its main, with EDGE3C_THREADS set to
+    ``threads`` or unset."""
     script = ("import contextlib, io, sys\n"
+              "before = set(sys.modules)\n"
               "from edge3c.cli import main\n"
               f"for argv in {[list(c) for c in commands]!r}:\n"
               "    with contextlib.redirect_stdout(io.StringIO()):\n"
               "        code = main(argv)\n"
               "    if code != 0:\n"
               "        sys.exit(f'{argv} exited with {code}')\n"
-              "print('numpy' in sys.modules)\n")
+              "print(*sorted(set(sys.modules) - before))\n")
     env = dict(os.environ)
     env.pop("EDGE3C_THREADS", None)
+    if threads is not None:
+        env["EDGE3C_THREADS"] = threads
     res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert res.returncode == 0, res.stderr
-    return {"True\n": True, "False\n": False}[res.stdout]
+    return set(res.stdout.split())
 
 
 def test_only_verify_loads_numpy():
-    assert not numpy_loaded_after(
+    assert "numpy" not in modules_loaded_by(
         ("solve", "--config", REFCFG),
         ("regions", "--config", REFCFG, "--human"),
         ("turning-points", "--config", REFCFG),
         ("sweep", "--config", REFCFG, "--param", "device_cpu_hz", "--start", "2 GHz",
          "--stop", "8 GHz", "--steps", "5", "--baselines", "mec_only,local_only,local_no_cache"))
-    assert numpy_loaded_after(("verify", "--trials", "2"))
+    assert "numpy" in modules_loaded_by(("verify", "--trials", "2"))
+
+
+def test_import_loads_neither_dataclasses_nor_the_pool():
+    assert not modules_loaded_by() & {"dataclasses", "inspect", "concurrent.futures", "logging"}
+    # a run with more than one worker still gets its pool
+    assert "concurrent.futures" in modules_loaded_by(("verify", "--trials", "2"), threads="2")
 
 
 def test_bad_thread_env_rejected():

@@ -12,7 +12,6 @@ turning points stay finite and positive, or absent, on every config the
 validator accepts.
 """
 
-import dataclasses
 import math
 import random
 from collections import Counter
@@ -29,6 +28,7 @@ from edge3c import (
     enumerate_per_task,
     power_coefficients,
     relative_error,
+    replace_field,
     route_costs,
     solve_optimal,
     turning_points,
@@ -82,8 +82,7 @@ def fuzz_config(rng: random.Random) -> SystemConfig:
     k1, k2 = power_coefficients(config)
     scale = f * max(k1, k2)
     budget = scale * 10.0 ** rng.uniform(-1.0, 0.3) if scale > 0 else 10.0 ** rng.uniform(-3.0, 1.0)
-    return validate_config(dataclasses.replace(
-        config, device=dataclasses.replace(config.device, avg_power_w=budget)))
+    return validate_config(replace_field(config, "device.avg_power_w", budget))
 
 
 def outcome(solver, config) -> tuple[str, float | None]:

@@ -4,18 +4,25 @@ import math
 import pytest
 
 from edge3c import (
+    REGIMES,
     ConfigParseError,
     DegenerateChannelError,
     InvalidConfigError,
     InvalidFieldError,
+    SweepSpec,
     config_from_dict,
     config_to_dict,
     downlink_spectral_efficiency,
+    enumerate_optimal,
     load_config,
     power_coefficients,
     replace_field,
+    route_costs,
     snr_db_to_spectral_efficiency,
+    solve_optimal,
     spectral_efficiency,
+    sweep,
+    turning_points,
     uplink_spectral_efficiency,
 )
 from conftest import CONFIG_DIR, build_config
@@ -131,6 +138,12 @@ def test_config_roundtrip(reference_config):
     assert again == reference_config
 
 
+def test_config_to_dict_leaves_out_absent_overrides():
+    raw = config_to_dict(build_config(snr_up_db=None, snr_down_db=4.0))
+    assert list(raw) == ["task_count", "task", "device", "server", "channel"]
+    assert raw["channel"] == {"gain": 1.0, "noise_psd": 1.0, "snr_down_db": 4.0}
+
+
 def test_override_warning():
     raw = config_to_dict(build_config())
     with pytest.warns(UserWarning, match="snr_up_db overrides"):
@@ -196,3 +209,30 @@ def test_replace_field():
     out = replace_field(cfg, "task_count", 4)
     assert out.task_count == 4
     assert cfg.device.cpu_hz == 2.0  # original untouched
+
+
+@pytest.fixture(scope="module")
+def records():
+    """One instance of each of the package's record types, by type name."""
+    cfg = build_config()
+    spec = SweepSpec("cache_bits", 0.0, 7.0, 3)
+    return {type(r).__name__: r for r in (
+        cfg.task, cfg.device, cfg.server, cfg.channel, cfg, route_costs(cfg), REGIMES[0],
+        solve_optimal(cfg), enumerate_optimal(cfg), turning_points(cfg), spec, sweep(cfg, spec)[0])}
+
+
+@pytest.mark.parametrize("name", [
+    "TaskSpec", "DeviceParams", "ServerParams", "ChannelParams", "SystemConfig", "RouteCosts",
+    "Regime", "PolicySolution", "OracleSolution", "TurningPoints", "SweepSpec", "SweepRow"])
+def test_records_are_immutable(records, name):
+    record = records[name]
+    field = record._fields[0]
+    before = getattr(record, field)
+    with pytest.raises(AttributeError):
+        setattr(record, field, "changed")
+    for copy in (record._replace(**{field: "changed"}), replace_field(record, field, "changed")):
+        assert getattr(copy, field) == "changed"
+        assert copy[1:] == record[1:]
+    assert getattr(record, field) is before
+    # a record is a tuple of its fields, and compares equal to one
+    assert record == tuple(record)

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import numpy as np
@@ -175,6 +174,22 @@ def test_run_verification_report():
     assert run_verification(trials=27, seed=4, threads=3) == rep
 
 
+@pytest.mark.parametrize("make", [build_config, power_floor_config], ids=["k1>k2", "k1<k2"])
+def test_power_bound_follows_the_budget_rule(make):
+    # 5 local tasks draw exactly 15 W, 7.5e-9 W over this budget but inside
+    # its tolerance window: the oracle allows them, so the closed form must
+    cfg = replace_field(make(), "device.avg_power_w", 15.0 / (1.0 + 0.5e-9))
+    closed, lattice = solve_optimal(cfg), enumerate_optimal(cfg)
+    assert (closed.x1, closed.x2, closed.x3) == (lattice.x1, lattice.x2, lattice.x3)
+    assert closed.x1 + closed.x2 == 5
+
+
+def test_verify_passes_where_the_power_bound_sits_at_the_window_edge():
+    # trial 57 of this seed has u = 72.99999992, and 73 local tasks fit the
+    # budget's tolerance window
+    assert run_verification(trials=58, seed=1724776852)["pass"] is True
+
+
 def test_dead_uplink_rejected_by_both_solvers(reference_config):
     # -4000 dB underflows the uplink spectral efficiency to 0 while 1 Mbit per
     # task must be uploaded, so no finite uplink power exists
@@ -184,16 +199,14 @@ def test_dead_uplink_rejected_by_both_solvers(reference_config):
         config_from_dict(raw)
     assert [v.field for v in info.value.violations] == ["channel.snr_up_db"]
 
-    dead = dataclasses.replace(
-        reference_config, channel=dataclasses.replace(reference_config.channel, snr_up_db=-4000.0))
+    dead = replace_field(reference_config, "channel.snr_up_db", -4000.0)
     for solver in (solve_optimal, enumerate_optimal):
         with pytest.raises(InvalidConfigError) as info:
             solver(dead)
         assert [v.field for v in info.value.violations] == ["channel.snr_up_db"]
 
     # with nothing to upload the dead link is harmless, and both solvers agree
-    no_upload = dataclasses.replace(
-        dead, task=dataclasses.replace(dead.task, input_local_bits=0.0))
+    no_upload = replace_field(dead, "task.input_local_bits", 0.0)
     closed, lattice = solve_optimal(no_upload), enumerate_optimal(no_upload)
     assert (closed.x1, closed.x2, closed.x3) == (lattice.x1, lattice.x2, lattice.x3)
     assert closed.b_total_hz == lattice.b_total_hz

@@ -3,11 +3,14 @@ import pytest
 from edge3c import (
     InfeasibleError,
     REGIME_LABELS,
+    RouteCosts,
     baseline_policy,
     classify_regime,
+    power_within_budget,
     route_costs,
     solve_optimal,
 )
+from edge3c.policy import solve_with_costs
 from conftest import build_config, power_floor_config
 
 
@@ -41,6 +44,30 @@ def test_power_floor_rejects_naive_split():
     naive_power = costs.k1 * 2 + costs.k2 * 8
     assert naive_power > cfg.device.avg_power_w
     assert (solve_optimal(cfg).x1, solve_optimal(cfg).x2, solve_optimal(cfg).x3) != (2, 0, 8)
+
+
+@pytest.mark.parametrize("f, k1, k2, budget", [
+    (2, 1.295659547951793, 1.2956323478557785, 2.591291893216279),
+    (3, 0.03427003561780377, 0.03207999621387544, 0.10062006734886289),
+    (2, 4.214759014167177, 4.21476017373596, 8.429519179473616),
+    (3, 0.48967115966410146, 0.48967115966434693, 1.4690134775235362),
+    (10, 1.0 + 1e-10, 1.0, 10.0),
+    (10, 1.0, 1.0 + 1e-10, 10.0),
+], ids=["k1>k2-step-up", "k1>k2-step-down", "k1<k2-step-down", "k1<k2-step-up",
+        "k1>k2-wide-window", "k1<k2-wide-window"])
+def test_power_bound_is_the_extreme_count_the_budget_rule_accepts(f, k1, k2, budget):
+    # the first four budgets' tolerance windows end within float rounding of
+    # a count's draw, where rounding the window's edge lands one count off;
+    # the last two windows span more than F counts. With an empty cache and
+    # the power bound on the cheaper route, x2 is the bound
+    b2, b3 = (1.0, 2.0) if k1 > k2 else (2.0, 1.0)
+    costs = RouteCosts(b1=0.0, b2=b2, b3=b3, bu3=b3, bd3=0.0, a1=1.0, a2=1.0, a3=1.0,
+                       k1=k1, k2=k2, route1_feasible=True, route12_feasible=True,
+                       route3_feasible=True)
+    sol = solve_with_costs(f, 0.0, 1.0, budget, costs)
+    fits = [n for n in range(f + 1) if power_within_budget(k1, k2, n, f - n, budget)]
+    assert sol.x1 == 0
+    assert sol.x2 == (max(fits) if k1 > k2 else min(fits))
 
 
 def test_cache_binding_when_power_ample():
