@@ -152,6 +152,15 @@ def _check(violations, cond: bool, field: str, reason: str):
         violations.append(InvalidFieldError(field, reason))
 
 
+def _converts_to_float(n: int) -> bool:
+    """Whether float(n) succeeds; the power draws divide by F as a float."""
+    try:
+        float(n)
+    except OverflowError:
+        return False
+    return True
+
+
 def _finite(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
@@ -252,6 +261,7 @@ def config_violations(config: SystemConfig) -> list[InvalidFieldError]:
            "task_count", "must be an integer")
     if isinstance(config.task_count, int) and not isinstance(config.task_count, bool):
         _check(v, config.task_count >= 1, "task_count", "must be >= 1")
+        _check(v, _converts_to_float(config.task_count), "task_count", "must be within float range")
 
     for section, _, fields in _FIELDS:
         values = getattr(config, section)

@@ -42,17 +42,19 @@ def enumerate_optimal(config: SystemConfig, limit: int = 2000,
 
     Enumerates the box of (x1, x2) rows and columns that the one-coordinate
     constraints allow (x1 <= Q, and x1 = 0 or x2 = 0 when route 1 or the
-    local routes miss the deadline), then checks x3 = F - x1 - x2 and the
-    power budget on every cell. The box is a leading block of the full
-    (F+1)^2 lattice in row-major order, so the first optimum found is the
-    full lattice's first optimum. Time and memory are O(F^2): memory peaks
-    at about 33 bytes per box cell, so about 126 MiB at the default
-    ``limit`` of F = 2000.
+    local routes miss the deadline), checks x3 = F - x1 - x2 and the power
+    budget once per local count x1 + x2, and evaluates the objective on every
+    cell. The box is a leading block of the full (F+1)^2 lattice in
+    row-major order, so the first optimum found is the full lattice's first
+    optimum. Time and memory are O(F^2): memory peaks at about 9 bytes per
+    box cell (the objective and its tie mask), so about 35 MiB at the
+    default ``limit`` of F = 2000.
 
     ``costs`` are the route costs of a config the caller has already
     validated; given them, the config is neither validated again nor costed.
     """
     import numpy as np  # imported here so that commands other than verify never load numpy
+    from numpy.lib.stride_tricks import as_strided
 
     if costs is None:
         validate_config(config)
@@ -65,11 +67,11 @@ def enumerate_optimal(config: SystemConfig, limit: int = 2000,
     qf = cache_task_capacity(config.device.cache_bits, config.task.input_remote_bits, f)
     n1 = qf + 1 if costs.route1_feasible else 1
     n2 = f + 1 if costs.route12_feasible else 1
-    x1 = np.arange(n1)[:, None]
-    x2 = np.arange(n2)[None, :]
-    x3 = f - x1 - x2
+    # cell (x1, x2) reads the rules' results for s = x1 + x2
+    s = np.arange(n1 + n2 - 1)
+    x3 = f - s
     valid = x3 >= 0 if costs.route3_feasible else x3 == 0
-    valid &= power_within_budget(costs.k1, costs.k2, x1 + x2, x3, config.device.avg_power_w)
+    valid &= power_within_budget(costs.k1, costs.k2, s, x3, config.device.avg_power_w)
 
     if not valid.any():
         # distinguish the two ways of having no feasible vector; cached tasks
@@ -82,7 +84,9 @@ def enumerate_optimal(config: SystemConfig, limit: int = 2000,
 
     b2 = costs.b2 if costs.b2 is not None else 0.0
     b3 = costs.b3 if costs.b3 is not None else 0.0
-    objective = np.where(valid, b2 * x2 + b3 * x3, np.inf)
+    per_s = np.where(valid, b3 * x3, np.inf)
+    objective = b2 * np.arange(n2) + as_strided(per_s, (n1, n2), (per_s.strides[0],) * 2,
+                                                writeable=False)
     flat = int(np.argmin(objective))
     best = float(objective.flat[flat])
     ties = objective <= best + TIE_REL * max(1.0, abs(best))

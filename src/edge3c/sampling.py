@@ -41,15 +41,22 @@ def sample_config(seed: int, trial: int) -> SystemConfig:
     k1_gt, b3_gt, detail = target.k1_gt_k2, target.b3_gt_b2, target.detail
 
     f = int(rng.integers(3, 201)) if detail in _NEEDS_F3 else int(rng.integers(1, 201))
-    tau = float(10.0 ** rng.uniform(-2.0, 0.3))
-    w = float(rng.uniform(1.0, 20.0))
-    i_local = float(10.0 ** rng.uniform(3.0, 6.5))
-    i_remote = float(10.0 ** rng.uniform(3.0, 7.0))
-    snr_up_db = float(rng.uniform(3.0, 25.0))
-    snr_down_db = float(rng.uniform(3.0, 30.0))
-    p_u = float(10.0 ** rng.uniform(-7.0, -5.0))
-    frac_local = float(rng.uniform(0.15, 0.85))   # local compute time / deadline
-    frac_server = float(rng.uniform(0.05, 0.7))   # server compute time / deadline
+    # the next 11 uniforms in one call, scaled as rng.uniform does; integer
+    # draws stay in place, since they read PCG64's buffered 32-bit halves
+    draws = iter(rng.random(11).tolist())
+
+    def uniform(lo: float, hi: float) -> float:
+        return lo + (hi - lo) * next(draws)
+
+    tau = 10.0 ** uniform(-2.0, 0.3)
+    w = uniform(1.0, 20.0)
+    i_local = 10.0 ** uniform(3.0, 6.5)
+    i_remote = 10.0 ** uniform(3.0, 7.0)
+    snr_up_db = uniform(3.0, 25.0)
+    snr_down_db = uniform(3.0, 30.0)
+    p_u = 10.0 ** uniform(-7.0, -5.0)
+    frac_local = uniform(0.15, 0.85)   # local compute time / deadline
+    frac_server = uniform(0.05, 0.7)   # server compute time / deadline
 
     se_up = snr_db_to_spectral_efficiency(snr_up_db)
     se_down = snr_db_to_spectral_efficiency(snr_down_db)
@@ -57,7 +64,7 @@ def sample_config(seed: int, trial: int) -> SystemConfig:
     a3 = tau * (1.0 - frac_server)
 
     # force the B3/B2 ordering via the output size
-    ratio = float(10.0 ** rng.uniform(0.05, 0.8)) if b3_gt else float(10.0 ** rng.uniform(-0.8, -0.05))
+    ratio = 10.0 ** uniform(0.05, 0.8) if b3_gt else 10.0 ** uniform(-0.8, -0.05)
     target_b3 = ratio * b2
     a1 = i_local / se_up
     if a1 > 0.25 * target_b3 * a3:
@@ -72,7 +79,7 @@ def sample_config(seed: int, trial: int) -> SystemConfig:
 
     # force the k1/k2 ordering via the switched capacitance
     k2 = p_u * i_local / (f * tau * se_up)
-    k_ratio = float(10.0 ** rng.uniform(0.05, 0.8)) if k1_gt else float(10.0 ** rng.uniform(-0.8, -0.05))
+    k_ratio = 10.0 ** uniform(0.05, 0.8) if k1_gt else 10.0 ** uniform(-0.8, -0.05)
     k1 = k_ratio * k2
     mu = k1 * tau * f / (f_d * f_d * w * (i_local + i_remote))
 

@@ -275,3 +275,19 @@ def test_dead_downlink_prints_valid_json(tmp_path, capsys):
         out = strict_json(capsys.readouterr().out)
         assert out["routes"]["a2_hz_s"] is None
         assert out["routes"]["route3_feasible"] is False
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve"], ["regions"], ["turning-points"],
+    ["sweep", "--param", "cache_bits", "--start", "1", "--stop", "2", "--steps", "2"],
+], ids=lambda argv: argv[0])
+def test_task_count_beyond_float_range_rejected(argv, tmp_path, capsys):
+    # the power draws divide by F as a float, and float(10**400) overflows
+    raw = json.loads((CONFIG_DIR / "reference.json").read_text())
+    raw["task_count"] = 10**400
+    path = tmp_path / "huge_f.json"
+    path.write_text(json.dumps(raw))
+    assert main([*argv, "--config", str(path)]) == 1
+    out = strict_json(capsys.readouterr().out)
+    assert out["error"] == "invalid_config"
+    assert out["violations"] == ["task_count: must be within float range"]

@@ -7,16 +7,20 @@ switched capacitance, links from -30 to 40 dB, compute times on both sides
 of the deadline on each route, and power budgets on both sides of the floor.
 
 A second, wide-range sampler draws every magnitude across nearly the whole
-float range, where products underflow and overflow, and checks that the
-turning points stay finite and positive, or absent, on every config the
-validator accepts.
+float range, where products underflow and overflow. On every config the
+validator accepts it checks that the turning points stay finite and
+positive, or absent, and, for F up to 200, that the closed form matches the
+lattice oracle and no baseline beats the optimum.
 """
 
 import math
 import random
 from collections import Counter
 
+import pytest
+
 from edge3c import (
+    BASELINE_KINDS,
     ChannelParams,
     DeviceParams,
     InfeasibleError,
@@ -24,6 +28,7 @@ from edge3c import (
     ServerParams,
     SystemConfig,
     TaskSpec,
+    baseline_policy,
     enumerate_optimal,
     enumerate_per_task,
     power_coefficients,
@@ -40,6 +45,7 @@ COUNT = 4000
 PER_TASK_MAX_F = 6
 WIDE_SEED = 20260
 WIDE_COUNT = 16_000
+WIDE_LATTICE_MAX_F = 200
 
 
 def fuzz_config(rng: random.Random) -> SystemConfig:
@@ -168,3 +174,35 @@ def test_turning_points_return_on_wide_range_configs():
     for name in ("f1", "f2", "f3"):
         for outcome in ("finite", "beyond float range", "below float range", "no crossing"):
             assert seen[name, outcome] > 0, seen
+
+
+# a power draw past float range overflows to inf in the lattice's numpy
+# arithmetic, and the budget rule rightly rejects it
+@pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+def test_closed_form_lattice_and_baselines_agree_on_wide_range_configs():
+    rng = random.Random(WIDE_SEED)
+    seen = Counter()
+    for _ in range(WIDE_COUNT):
+        config = wide_config(rng)
+        if config.task_count > WIDE_LATTICE_MAX_F:
+            continue
+        try:
+            validate_config(config)
+        except InvalidConfigError:
+            continue
+        lattice = outcome(enumerate_optimal, config)
+        seen[lattice[0]] += 1
+        assert_agree(outcome(solve_optimal, config), lattice, config, "closed form vs lattice")
+        if lattice[0] != "solved":
+            continue
+        for kind in BASELINE_KINDS:
+            try:
+                total = baseline_policy(kind, config).b_total_hz
+            except InfeasibleError:
+                continue
+            seen[kind] += 1
+            assert total >= lattice[1] or relative_error(total, lattice[1]) <= 1e-9, \
+                (kind, total, lattice, config)
+    # both infeasibility classes, solved configs and every feasible baseline occurred
+    for branch in ("latency", "power", "solved", *BASELINE_KINDS):
+        assert seen[branch] > 0, (branch, seen)

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -70,6 +72,20 @@ def test_guard_limits():
     assert str(info.value) == "task_count 2001 exceeds the limit 2000"
     with pytest.raises(TooLargeError):
         enumerate_per_task(build_config(task_count=11))
+
+
+def test_lattice_memory_at_the_limit():
+    # all three routes open and the cache holds every task: the box is the
+    # full 2001 x 2001 lattice
+    cfg = build_config(task_count=2000, cache_bits=1e9, avg_power_w=1e9)
+    tracemalloc.start()
+    try:
+        sol = enumerate_optimal(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (sol.x1, sol.x2, sol.x3, sol.b_total_hz, sol.num_optima) == (2000, 0, 0, 0.0, 1)
+    assert peak < 48 * 2**20
 
 
 def test_verification_validates_and_costs_each_trial_once(monkeypatch):
@@ -161,6 +177,25 @@ def test_sampler_covers_all_nine_regimes():
     for seed in range(3):
         for trial in range(900):
             assert solve_optimal(sample_config(seed, trial)).regime is REGIMES[trial % 9]
+
+
+def test_sampler_oracle_and_verify_output_are_pinned():
+    # the sampler's draw sequence is a compatibility surface, and a speed-up
+    # may not change a byte of the oracle's answers or of verify's stdout
+    sampled, solved = hashlib.sha256(), hashlib.sha256()
+    for seed in range(3):
+        for trial in range(1000):
+            config = sample_config(seed, trial)
+            sampled.update(repr(config).encode())
+            solved.update(repr(enumerate_optimal(config)).encode())
+    assert sampled.hexdigest() == "88a71821450beeacb31d69603224318b1ff44739433df7e1df54b4d40781bbbb"
+    assert solved.hexdigest() == "841cd9b3ab00bb3f75a9b7fcb29a25cb148bf185d327bfb1d86b817bed67a67e"
+    for seed, digest in enumerate((
+            "70dc287e70ed0eaee2408c8070c5adf5caac14afd301996c60590cfc865f9f8a",
+            "7c74037d10ebdc8e177d27db7d2f4aacf3e848437041a0783fa232bfd2dba7ee",
+            "def1137b760c32b81373b74fbe919ad60f549270ed742a44719c904b344c443c")):
+        stdout = json.dumps(run_verification(trials=900, seed=seed), indent=2) + "\n"
+        assert hashlib.sha256(stdout.encode()).hexdigest() == digest, seed
 
 
 def test_run_verification_report():
