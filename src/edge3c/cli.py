@@ -4,7 +4,8 @@ Subcommands: solve, sweep, verify, regions, turning-points. Machine-readable
 output goes to stdout (JSON, or CSV for sweep) and is byte-stable for a given
 input; --human adds formatted annotations without touching the SI fields.
 Exit codes: 0 success (verify: all trials within tolerance), 1 infeasible or
-invalid input, 2 config file unreadable/unparseable.
+invalid input, 2 config file unreadable/unparseable or --output file
+unwritable (error code "output_unwritable").
 """
 
 from __future__ import annotations
@@ -79,8 +80,9 @@ def _json(payload: dict) -> str:
 def _cmd_solve(args) -> str:
     config = load_config(args.config)
     costs = route_costs(config)
-    solution = solve_with_costs(config.task_count, config.device.cache_bits,
-                                config.task.input_remote_bits, config.device.avg_power_w, costs)
+    f = config.task_count
+    q = cache_task_capacity(config.device.cache_bits, config.task.input_remote_bits, f)
+    solution = solve_with_costs(f, q, config.device.avg_power_w, costs)
     payload = solution.to_dict()
     payload["routes"] = costs.to_dict()
     if args.human:
@@ -107,8 +109,9 @@ def _cmd_sweep(args) -> str:
 def _cmd_regions(args) -> str:
     config = load_config(args.config)
     costs = route_costs(config)
-    solution = solve_with_costs(config.task_count, config.device.cache_bits,
-                                config.task.input_remote_bits, config.device.avg_power_w, costs)
+    f = config.task_count
+    q = cache_task_capacity(config.device.cache_bits, config.task.input_remote_bits, f)
+    solution = solve_with_costs(f, q, config.device.avg_power_w, costs)
     regime = solution.regime
     payload = {
         "regime": regime.label,
@@ -117,8 +120,7 @@ def _cmd_regions(args) -> str:
         "detail": regime.detail,
         "binding": list(solution.binding),
         "task_count": config.task_count,
-        "cache_capacity_tasks": cache_task_capacity(
-            config.device.cache_bits, config.task.input_remote_bits, config.task_count),
+        "cache_capacity_tasks": q,
         "routes": costs.to_dict(),
     }
     if args.human:
@@ -143,18 +145,19 @@ def _cmd_turning_points(args) -> str:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    code = 0
     try:
         if args.command == "verify":
             report = run_verification(trials=args.trials, seed=args.seed)
-            _emit(_json(report), args.output)
-            return 0 if report["pass"] else 1
-        handler = {
-            "solve": _cmd_solve,
-            "sweep": _cmd_sweep,
-            "regions": _cmd_regions,
-            "turning-points": _cmd_turning_points,
-        }[args.command]
-        text = handler(args)
+            text, code = _json(report), 0 if report["pass"] else 1
+        else:
+            handler = {
+                "solve": _cmd_solve,
+                "sweep": _cmd_sweep,
+                "regions": _cmd_regions,
+                "turning-points": _cmd_turning_points,
+            }[args.command]
+            text = handler(args)
     except ConfigParseError as exc:
         _emit(_json({"error": exc.code, "detail": exc.detail()}), None)
         return 2
@@ -165,8 +168,12 @@ def main(argv=None) -> int:
     except Edge3cError as exc:
         _emit(_json({"error": exc.code, "detail": exc.detail()}), None)
         return 1
-    _emit(text, args.output)
-    return 0
+    try:
+        _emit(text, args.output)
+    except OSError as exc:
+        _emit(_json({"error": "output_unwritable", "detail": str(exc)}), None)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

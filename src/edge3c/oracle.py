@@ -71,7 +71,9 @@ def enumerate_optimal(config: SystemConfig, limit: int = 2000,
     s = np.arange(n1 + n2 - 1)
     x3 = f - s
     valid = x3 >= 0 if costs.route3_feasible else x3 == 0
-    valid &= power_within_budget(costs.k1, costs.k2, s, x3, config.device.avg_power_w)
+    # a draw past float range overflows to inf, which the budget rule rejects
+    with np.errstate(over="ignore"):
+        valid &= power_within_budget(costs.k1, costs.k2, s, x3, config.device.avg_power_w)
 
     if not valid.any():
         # distinguish the two ways of having no feasible vector; cached tasks
@@ -176,8 +178,9 @@ def run_verification(trials: int = 1000, seed: int = 0,
     def one(trial: int) -> tuple[float, str]:
         config = sample_config(seed, trial)  # already validated
         costs = route_costs(config)
-        solved = solve_with_costs(config.task_count, config.device.cache_bits,
-                                  config.task.input_remote_bits, config.device.avg_power_w, costs)
+        f = config.task_count
+        q = cache_task_capacity(config.device.cache_bits, config.task.input_remote_bits, f)
+        solved = solve_with_costs(f, q, config.device.avg_power_w, costs)
         reference = enumerate_optimal(config, costs=costs)
         return relative_error(solved.b_total_hz, reference.b_total_hz), solved.regime.label
 

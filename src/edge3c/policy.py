@@ -119,16 +119,56 @@ def _power_floor(f: int, qf: int, costs: RouteCosts) -> float:
     return f * k1
 
 
-def solve_with_costs(f: int, cache_bits: float, input_remote_bits: float, avg_power_w: float,
-                     costs: RouteCosts) -> PolicySolution:
-    """solve_optimal for a config already validated, from the four scalars
-    it reads besides the route costs: the task count F, the cache size C,
-    the remote input size I_remote and the power budget Pbar. A sweep point
-    passes its swept value in place of the config's own."""
+def _power_bound(f: int, k1: float, k2: float, avg_power_w: float) -> int | None:
+    """The power budget's bound on the local count x1 + x2: the cap U when
+    k1 > k2, the floor L when k1 < k2, and None when k1 == k2 (the mix does
+    not move total power).
+
+    u is where the budget's tolerance window ends, as a count of local tasks,
+    clamped into [0, F] before rounding: a near-zero k1 - k2 can push it to
+    huge magnitudes or infinity. One step either way settles the count on
+    power_within_budget, the oracles' rule; more steps would only walk float
+    noise, which spans many counts at huge F."""
+    if k1 == k2:
+        return None
+    k1_gt = k1 > k2
+    u = (avg_power_w * (1.0 + REL_EPS) - f * k2) / (k1 - k2)
+    n = 0 if u <= 0 else (f if u >= f else (math.floor(u) if k1_gt else math.ceil(u)))
+    if k1_gt:
+        if n < f and power_within_budget(k1, k2, n + 1, f - n - 1, avg_power_w):
+            n += 1
+        elif n > 0 and not power_within_budget(k1, k2, n, f - n, avg_power_w):
+            n -= 1
+    else:
+        if n > 0 and power_within_budget(k1, k2, n - 1, f - n + 1, avg_power_w):
+            n -= 1
+        elif n < f and not power_within_budget(k1, k2, n, f - n, avg_power_w):
+            n += 1
+    return n
+
+
+def _power_key(f: int, q: int, avg_power_w: float, costs: RouteCosts) -> tuple:
+    """Every fact solve_with_costs and the three baselines read from the
+    power budget Pbar, at fixed F, Q and route costs: whether the power
+    floor fits, the power bound, and whether all-offload and all-local fit.
+    Two budgets with equal keys give the same solution and baselines."""
+    k1, k2 = costs.k1, costs.k2
+    return (within_budget(_power_floor(f, q if costs.route1_feasible else 0, costs), avg_power_w),
+            _power_bound(f, k1, k2, avg_power_w),
+            power_within_budget(k1, k2, 0, f, avg_power_w),
+            power_within_budget(k1, k2, f, 0, avg_power_w))
+
+
+def solve_with_costs(f: int, q: int, avg_power_w: float, costs: RouteCosts) -> PolicySolution:
+    """solve_optimal for a config already validated, from the three scalars
+    it reads besides the route costs: the task count F, the cache capacity
+    Q in tasks (``bounds.cache_task_capacity`` of the cache size C, the
+    remote input size I_remote and F) and the power budget Pbar. A sweep
+    point passes its swept value in place of the config's own."""
     k1, k2 = costs.k1, costs.k2
     r2, r3 = costs.route12_feasible, costs.route3_feasible
 
-    qf = cache_task_capacity(cache_bits, input_remote_bits, f) if costs.route1_feasible else 0
+    qf = q if costs.route1_feasible else 0
 
     reachable = qf + (f if r2 else 0) + (f if r3 else 0)
     if reachable < f:
@@ -138,28 +178,9 @@ def solve_with_costs(f: int, cache_bits: float, input_remote_bits: float, avg_po
         raise InfeasibleError("power", "minimum achievable power exceeds the budget")
 
     k1_gt = k1 > k2
-    upper, lower = None, 0
-    if k1 != k2:
-        # Bounds on x1 + x2 from the power budget. u is where the budget's
-        # tolerance window ends, as a count of local tasks, clamped into
-        # [0, F] before rounding: a near-zero k1 - k2 can push it to huge
-        # magnitudes or infinity. One step either way settles the count on
-        # power_within_budget, the oracles' rule; more steps would only walk
-        # float noise, which spans many counts at huge F.
-        u = (avg_power_w * (1.0 + REL_EPS) - f * k2) / (k1 - k2)
-        n = 0 if u <= 0 else (f if u >= f else (math.floor(u) if k1_gt else math.ceil(u)))
-        if k1_gt:
-            if n < f and power_within_budget(k1, k2, n + 1, f - n - 1, avg_power_w):
-                n += 1
-            elif n > 0 and not power_within_budget(k1, k2, n, f - n, avg_power_w):
-                n -= 1
-            upper = n
-        else:
-            if n > 0 and power_within_budget(k1, k2, n - 1, f - n + 1, avg_power_w):
-                n -= 1
-            elif n < f and not power_within_budget(k1, k2, n, f - n, avg_power_w):
-                n += 1
-            lower = n
+    # the power budget's bound on x1 + x2: the cap U when k1 > k2, else the floor L
+    bound = _power_bound(f, k1, k2, avg_power_w)
+    upper, lower = (bound, 0) if k1_gt else (None, bound or 0)
 
     b2_eff = costs.b2 if r2 else float("inf")
     b3_eff = costs.b3 if r3 else float("inf")
@@ -224,9 +245,9 @@ def solve_with_costs(f: int, cache_bits: float, input_remote_bits: float, avg_po
 def solve_optimal(config: SystemConfig, cap: float = DEFAULT_BANDWIDTH_CAP) -> PolicySolution:
     """Closed-form bandwidth-minimal route counts for the task set."""
     validate_config(config)
-    d = config.device
-    return solve_with_costs(config.task_count, d.cache_bits, config.task.input_remote_bits,
-                            d.avg_power_w, route_costs(config, cap))
+    f = config.task_count
+    q = cache_task_capacity(config.device.cache_bits, config.task.input_remote_bits, f)
+    return solve_with_costs(f, q, config.device.avg_power_w, route_costs(config, cap))
 
 
 def classify_regime(config: SystemConfig, cap: float = DEFAULT_BANDWIDTH_CAP) -> Regime:
@@ -234,12 +255,12 @@ def classify_regime(config: SystemConfig, cap: float = DEFAULT_BANDWIDTH_CAP) ->
     return solve_optimal(config, cap).regime
 
 
-def baseline_counts(kind: str, f: int, cache_bits: float, input_remote_bits: float,
-                    avg_power_w: float, costs: RouteCosts) -> tuple[int, int, int, float]:
+def baseline_counts(kind: str, f: int, q: int, avg_power_w: float,
+                    costs: RouteCosts) -> tuple[int, int, int, float]:
     """(x1, x2, x3, total bandwidth) of a baseline policy for a config already
-    validated, from the same four scalars as solve_with_costs (F, C,
-    I_remote, Pbar) and the route costs; raises InfeasibleError when the
-    baseline cannot serve the task set."""
+    validated, from the same three scalars as solve_with_costs (F, the cache
+    capacity Q in tasks, Pbar) and the route costs; raises InfeasibleError
+    when the baseline cannot serve the task set."""
     if kind == "mec_only":
         if not costs.route3_feasible:
             raise InfeasibleError("latency", "offload route cannot meet the deadline")
@@ -247,7 +268,7 @@ def baseline_counts(kind: str, f: int, cache_bits: float, input_remote_bits: flo
             raise InfeasibleError("power", "offloading every task exceeds the power budget")
         return 0, 0, f, costs.b3 * f
     if kind == "local_only":
-        x1 = cache_task_capacity(cache_bits, input_remote_bits, f) if costs.route1_feasible else 0
+        x1 = q if costs.route1_feasible else 0
         x2 = f - x1
         if x2 > 0 and not costs.route12_feasible:
             raise InfeasibleError("latency", "download-and-compute route cannot meet the deadline")
@@ -275,8 +296,9 @@ def baseline_policy(kind: str, config: SystemConfig,
     optimum is infeasible raises too."""
     validate_config(config)
     costs = route_costs(config, cap)
-    scalars = (config.task_count, config.device.cache_bits, config.task.input_remote_bits,
-               config.device.avg_power_w)
+    f = config.task_count
+    q = cache_task_capacity(config.device.cache_bits, config.task.input_remote_bits, f)
+    scalars = (f, q, config.device.avg_power_w)
     x1, x2, x3, b_total = baseline_counts(kind, *scalars, costs)
     return PolicySolution(x1=x1, x2=x2, x3=x3, b_total_hz=b_total,
                           b_avg_hz=b_total / config.task_count,

@@ -32,7 +32,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .bandwidth import DEFAULT_BANDWIDTH_CAP, _link_costs, _point_costs, route_costs
+from .bandwidth import DEFAULT_BANDWIDTH_CAP, RouteCosts, _link_costs, _point_costs, route_costs
+from .bounds import cache_task_capacity
 from .errors import InfeasibleError, InvalidFieldError, TooLargeError
 from .model import (
     SystemConfig,
@@ -41,7 +42,7 @@ from .model import (
     field_violation,
     validate_config,
 )
-from .policy import PolicySolution, baseline_counts, solve_with_costs
+from .policy import PolicySolution, _power_key, baseline_counts, solve_with_costs
 
 SWEEP_PARAMETERS = {
     "cache_bits": "device.cache_bits",
@@ -224,6 +225,14 @@ def sweep(config: SystemConfig, spec: SweepSpec,
     the per-point part of route_costs. A point's costs give the optimum and
     every baseline; a baseline cell is None when the baseline or the
     optimum is infeasible.
+
+    The closed form and the baselines read the cache size only through the
+    cache capacity Q, and the power budget only through the facts in
+    ``policy._power_key`` (the power bound and three fits). So a
+    ``cache_bits`` sweep solves once per distinct Q and an ``avg_power_w``
+    sweep once per distinct power key, in effect once per distinct power
+    bound; the other points of the same key share that solution object,
+    each with its own copy of the baselines dict.
     """
     validate_config(config)
     spec.validate()
@@ -237,57 +246,76 @@ def sweep(config: SystemConfig, spec: SweepSpec,
         link = _link_costs(config)
     else:
         costs = route_costs(config, cap)
+    q = cache_task_capacity(d.cache_bits, i_remote, f)
+    # key -> (solution, error, baselines) of the cache or power points solved so far
+    solved: dict = {}
     rows = []
     for value in grid_values(spec):
-        solution = None
-        error = None
-        baselines = dict.fromkeys(spec.baselines)
-        if field_violation(dotted, value) is not None:
-            error = "invalid_config"
-        else:
+        valid = field_violation(dotted, value) is None
+        if valid:
             point[param] = value
             if moves_costs:
                 costs = _point_costs(config, link, point["deadline_s"], point["device_cpu_hz"], cap)
-                if _draws_violation(config, costs.k1, costs.k2) is not None:
-                    error = "invalid_config"
-        if error is None:
-            scalars = (f, point["cache_bits"], i_remote, point["avg_power_w"])
-            try:
-                solution = solve_with_costs(*scalars, costs)
-            except InfeasibleError as exc:
-                error = exc.constraint
-            else:
-                for kind in spec.baselines:
-                    try:
-                        baselines[kind] = baseline_counts(kind, *scalars, costs)[3]
-                    except InfeasibleError:
-                        pass
-        rows.append(SweepRow(parameter=param, value=value, solution=solution,
-                             error=error, baselines=baselines))
+                valid = _draws_violation(config, costs.k1, costs.k2) is None
+        if not valid:
+            rows.append(SweepRow(param, value, None, "invalid_config",
+                                 dict.fromkeys(spec.baselines)))
+            continue
+        if param == "cache_bits":
+            q = key = cache_task_capacity(value, i_remote, f)
+        elif param == "avg_power_w":
+            key = _power_key(f, q, value, costs)
+        else:
+            key = None
+        hit = solved.get(key)  # never stored under None
+        if hit is None:
+            hit = _solve_point(f, q, point["avg_power_w"], costs, spec.baselines)
+            if key is not None:
+                solved[key] = hit
+        solution, error, baselines = hit
+        rows.append(SweepRow(param, value, solution, error, dict(baselines)))
     return rows
+
+
+def _solve_point(f: int, q: int, avg_power_w: float, costs: RouteCosts,
+                 kinds: tuple[str, ...]) -> tuple[PolicySolution | None, str | None, dict]:
+    """(solution, error, baselines) of one sweep point from its scalars and costs."""
+    baselines = dict.fromkeys(kinds)
+    try:
+        solution = solve_with_costs(f, q, avg_power_w, costs)
+    except InfeasibleError as exc:
+        return None, exc.constraint, baselines
+    for kind in kinds:
+        try:
+            baselines[kind] = baseline_counts(kind, f, q, avg_power_w, costs)[3]
+        except InfeasibleError:
+            pass
+    return solution, None, baselines
 
 
 def rows_to_csv(rows: list[SweepRow], baselines: tuple[str, ...] = ()) -> str:
     """Fixed-schema CSV: param,value,x1,x2,x3,b_total_hz,b_avg_hz,regime, then
     one <baseline>_hz column per requested baseline; INF marks infeasible cells.
 
-    Floats use repr() (shortest round-trip), keeping output byte-stable.
+    Floats use repr() (shortest round-trip), keeping output byte-stable. A
+    row whose solution is the previous row's object and whose baselines
+    equal the previous row's reuses that row's result cells (equal floats
+    format alike, bar the sign of a zero, which no bandwidth total has).
     """
     header = ["param", "value", "x1", "x2", "x3", "b_total_hz", "b_avg_hz", "regime"]
     header += [f"{kind}_hz" for kind in baselines]
     lines = [",".join(header)]
-    for row in rows:
-        cells = [row.parameter, repr(float(row.value))]
-        s = row.solution
-        if s is None:
-            cells += [INF_TOKEN] * 6
-        else:
-            cells += [str(s.x1), str(s.x2), str(s.x3),
-                      repr(s.b_total_hz), repr(s.b_avg_hz), s.regime.label]
-        for kind in baselines:
-            v = row.baselines.get(kind)
-            cells.append(INF_TOKEN if v is None else repr(float(v)))
-        lines.append(",".join(cells))
+    unsolved = ",".join([INF_TOKEN] * 6)
+    prev_solution, prev_baselines, cells = object(), None, ""
+    for parameter, value, s, _, row_baselines in rows:
+        if s is not prev_solution or row_baselines != prev_baselines:
+            prev_solution, prev_baselines = s, row_baselines
+            cells = unsolved if s is None else \
+                f"{s.x1},{s.x2},{s.x3},{s.b_total_hz!r},{s.b_avg_hz!r},{s.regime.label}"
+            for kind in baselines:
+                v = row_baselines.get(kind)
+                cells += f",{INF_TOKEN if v is None else repr(float(v))}"
+        lines.append(f"{parameter},{float(value)!r},{cells}")
     return "\n".join(lines) + "\n"
 
 

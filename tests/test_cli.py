@@ -150,6 +150,21 @@ def test_exit_2_on_unreadable_or_unparseable(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["error"] == "config_parse"
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--config", REFCFG],
+    ["sweep", "--config", REFCFG, "--param", "cache_bits", "--start", "1", "--stop", "2",
+     "--steps", "2"],
+    ["verify", "--trials", "3"],
+], ids=lambda argv: argv[0])
+def test_exit_2_on_unwritable_output(argv, tmp_path, capsys):
+    target = tmp_path / "missing" / "out.txt"
+    assert main([*argv, "--output", str(target)]) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out["error"] == "output_unwritable"
+    assert str(target) in out["detail"]
+    assert not target.parent.exists()
+
+
 def test_exit_1_on_invalid_values(tmp_path, capsys):
     cfg = build_config(validate=False, deadline_s=-1.0)
     path = write_config(tmp_path, cfg)

@@ -13,8 +13,10 @@ from edge3c import (
     InvalidFieldError,
     SweepSpec,
     baseline_policy,
+    cache_task_capacity,
     detect_breakpoints,
     grid_values,
+    power_coefficients,
     replace_field,
     route_costs,
     rows_to_csv,
@@ -23,6 +25,7 @@ from edge3c import (
     turning_points,
     validate_config,
 )
+from edge3c.policy import _power_key
 from edge3c.tradeoff import BASELINE_KINDS, INF_TOKEN, MAX_SWEEP_STEPS, SWEEP_PARAMETERS, SweepRow
 from conftest import build_config
 from test_fuzz import fuzz_config, wide_config
@@ -218,6 +221,26 @@ def test_csv_schema_and_tokens():
     assert text == rows_to_csv(rows, spec.baselines)  # pure function
 
 
+def test_csv_reuses_cells_only_for_the_same_solution_and_baselines():
+    # consecutive rows share one solution object but differ in baselines,
+    # and an equal solution that is another object follows
+    s = sweep(build_config(avg_power_w=1000.0), SweepSpec("cache_bits", 0.0, 10.0, 11))[5].solution
+    rows = [SweepRow("cache_bits", value, solution, None, {"mec_only": b})
+            for value, solution, b in ((1.0, s, 2.0), (2, s, 2.0), (3.0, s, None), (4.0, s, 5),
+                                       (5.0, None, 5.0), (6.0, None, None),
+                                       (7.0, s._replace(x1=4), None))]
+    ok = "5,5,0,5.0,0.5,k1>k2/B3>B2/power-ample"
+    assert rows_to_csv(rows, ("mec_only",)).splitlines()[1:] == [
+        f"cache_bits,1.0,{ok},2.0",
+        f"cache_bits,2.0,{ok},2.0",
+        f"cache_bits,3.0,{ok},INF",
+        f"cache_bits,4.0,{ok},5.0",
+        "cache_bits,5.0,INF,INF,INF,INF,INF,INF,5.0",
+        "cache_bits,6.0,INF,INF,INF,INF,INF,INF,INF",
+        "cache_bits,7.0,4,5,0,5.0,0.5,k1>k2/B3>B2/power-ample,INF",
+    ]
+
+
 #: (parameter, start, stop): each grid crosses several regimes and, on both
 #: shipped configs, reaches infeasible points (or invalid ones, below 0 bits)
 EQUIVALENCE_GRIDS = (
@@ -270,13 +293,31 @@ def overflow_specs(config, steps):
                     log_scale=True)
 
 
+def dense_specs(config, steps):
+    """Grids on which many points share a cache capacity or a power bound:
+    cache sizes over four tasks' worth of remote input, and budgets within
+    three tasks' draw difference |k1 - k2| of the all-cheaper-route draw
+    F*min(k1, k2), where the power floor starts to fit while the bound holds
+    (or around the config's own budget when that span is empty in floats)."""
+    f, i_remote = config.task_count, config.task.input_remote_bits
+    yield SweepSpec("cache_bits", 0.0, 4.0 * i_remote or 1.0, steps, BASELINE_KINDS)
+    k1, k2 = power_coefficients(config)
+    floor, step = f * min(k1, k2), 3.0 * abs(k1 - k2)
+    lo, hi = floor - step, floor + step
+    if not -math.inf < lo < hi < math.inf:
+        lo, hi = config.device.avg_power_w / 2, config.device.avg_power_w * 2
+    yield SweepSpec("avg_power_w", lo, hi, steps, BASELINE_KINDS)
+
+
 def sweep_cases(config_name, request):
     """(config, grid specs) pairs of one config source."""
     if config_name in ("reference", "relaxed_deadline"):
         config = request.getfixturevalue(f"{config_name}_config")
-        return [(config, [*shipped_specs(60), *overflow_specs(config, 60)])]
+        return [(config, [*shipped_specs(60), *overflow_specs(config, 60),
+                          *dense_specs(config, 200)])]
     sampler, seed = {"fuzz": (fuzz_config, 7), "wide": (wide_config, 8)}[config_name]
-    return [(config, [*relative_specs(config, DRAWN_STEPS), *overflow_specs(config, DRAWN_STEPS)])
+    return [(config, [*relative_specs(config, DRAWN_STEPS), *overflow_specs(config, DRAWN_STEPS),
+                      *dense_specs(config, 4 * DRAWN_STEPS)])
             for config in drawn_configs(sampler, seed)]
 
 
@@ -295,10 +336,13 @@ def test_sweep_matches_per_point_public_calls(config_name, request):
     # that point, on the shipped configs and on configs drawn by both
     # samplers of tests/test_fuzz.py
     kinds = set()
+    shared = Counter()  # rows that reuse the previous row's solution, per parameter
     for config, specs in sweep_cases(config_name, request):
         for spec in specs:
             rows = sweep(config, spec)
             assert [r.value for r in rows] == grid_values(spec)
+            shared[spec.parameter] += sum(a.solution is b.solution is not None
+                                          for a, b in zip(rows, rows[1:]))
             for row in rows:
                 cfg = replace_field(config, SWEEP_PARAMETERS[spec.parameter], row.value)
                 exc = None
@@ -320,12 +364,16 @@ def test_sweep_matches_per_point_public_calls(config_name, request):
     # a k2 that overflows before k1 needs a draw from the wide sampler
     want = {None, "power", "latency", "invalid: field rule", "invalid: k1"}
     assert want | ({"invalid: k2"} if config_name == "wide" else set()) <= kinds, kinds
+    # the dense grids reach solutions a cache or power sweep solved once for many points
+    assert shared["cache_bits"] > 0 and shared["avg_power_w"] > 0, shared
+    assert shared["device_cpu_hz"] == shared["deadline_s"] == 0, shared
 
 
 @pytest.mark.parametrize("param", sorted(SWEEP_PARAMETERS))
 def test_sweep_costs_only_what_its_parameter_changes(param, reference_config, monkeypatch):
     # no point builds a config or checks its power draws through the
-    # validator, and a cache or power sweep costs its routes once
+    # validator, a cache or power sweep costs its routes once, and it
+    # solves once per cache capacity or power key, not once per point
     calls = Counter()
 
     def counting(name, fn):
@@ -335,16 +383,36 @@ def test_sweep_costs_only_what_its_parameter_changes(param, reference_config, mo
         return wrapper
 
     monkeypatch.setattr("edge3c.tradeoff.route_costs", counting("route_costs", route_costs))
+    monkeypatch.setattr("edge3c.tradeoff.solve_with_costs",
+                        counting("solve_with_costs", edge3c.tradeoff.solve_with_costs))
     for name in ("replace_field", "derived_violation"):
         fn = getattr(edge3c.model, name)
         monkeypatch.setattr(f"edge3c.model.{name}", counting(name, fn))
         monkeypatch.setattr(f"edge3c.tradeoff.{name}", counting(name, fn), raising=False)
     _, start, stop = next(g for g in EQUIVALENCE_GRIDS if g[0] == param)
-    rows = sweep(reference_config, SweepSpec(param, start, stop, 50, BASELINE_KINDS))
-    assert len(rows) == 50
+    rows = sweep(reference_config, SweepSpec(param, start, stop, 400, BASELINE_KINDS))
+    assert len(rows) == 400
     assert calls["route_costs"] == (1 if param in ("cache_bits", "avg_power_w") else 0)
     assert calls["replace_field"] == 0
     assert calls["derived_violation"] == 1  # validating the base config
+    valid = [r.value for r in rows if r.error != "invalid_config"]
+    f, i_remote = reference_config.task_count, reference_config.task.input_remote_bits
+    if param == "cache_bits":
+        keys = {cache_task_capacity(v, i_remote, f) for v in valid}
+    elif param == "avg_power_w":
+        q = cache_task_capacity(reference_config.device.cache_bits, i_remote, f)
+        keys = {_power_key(f, q, v, route_costs(reference_config)) for v in valid}
+    else:
+        keys = valid
+    assert calls["solve_with_costs"] == len(keys)
+    shared = [i for i in range(1, len(rows))
+              if rows[i].solution is rows[i - 1].solution is not None]
+    assert bool(shared) == (param in ("cache_bits", "avg_power_w"))
+    # a row that shares its solution with the row before still owns its baselines dict
+    before = [dict(r.baselines) for r in rows]
+    i = shared[0] if shared else len(rows) // 2
+    rows[i].baselines["mec_only"] = "edited"
+    assert [r.baselines for r in rows[:i] + rows[i + 1:]] == before[:i] + before[i + 1:]
 
 
 def test_detect_breakpoints_on_power_sweep():
