@@ -46,18 +46,12 @@ def within_budget(total: float, budget: float) -> bool:
     """Whether ``total`` fits ``budget`` up to the package-wide relative
     tolerance, with no absolute slack: the validator accepts only power
     budgets > 0 and cache sizes >= 0, so the relative window suffices, and an
-    empty cache holds nothing.
-
-    Given a numpy array for ``total``, it applies elementwise and returns a
-    boolean array."""
+    empty cache holds nothing."""
     return total <= budget * (1.0 + REL_EPS)
 
 
 def power_within_budget(k1: float, k2: float, x_local: int, x_offload: int,
                         budget_w: float) -> bool:
     """Whether a mix of x_local locally-computed and x_offload offloaded tasks
-    fits the average power budget (``within_budget``).
-
-    Given numpy integer arrays for the counts, it applies elementwise and
-    returns a boolean array."""
+    fits the average power budget (``within_budget``)."""
     return within_budget(k1 * x_local + k2 * x_offload, budget_w)

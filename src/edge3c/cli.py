@@ -5,13 +5,15 @@ output goes to stdout (JSON, or CSV for sweep) and is byte-stable for a given
 input; --human adds formatted annotations without touching the SI fields.
 Exit codes: 0 success (verify: all trials within tolerance), 1 infeasible or
 invalid input, 2 config file unreadable/unparseable or --output file
-unwritable (error code "output_unwritable").
+unwritable (error code "output_unwritable"). The --output path is checked
+before the command starts, so a run whose result cannot be saved does no work.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
@@ -71,6 +73,22 @@ def _emit(text: str, output: str | None):
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _check_writable(path: str) -> None:
+    """Raise OSError unless ``path`` can be opened for writing. An existing
+    file keeps its bytes, and a file the check makes is removed again."""
+    try:
+        os.close(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
+    except FileExistsError:
+        os.close(os.open(path, os.O_WRONLY))
+    else:
+        os.remove(path)
+
+
+def _unwritable(exc: OSError) -> int:
+    _emit(_json({"error": "output_unwritable", "detail": str(exc)}), None)
+    return 2
 
 
 def _json(payload: dict) -> str:
@@ -145,6 +163,11 @@ def _cmd_turning_points(args) -> str:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.output:
+        try:
+            _check_writable(args.output)
+        except OSError as exc:
+            return _unwritable(exc)
     code = 0
     try:
         if args.command == "verify":
@@ -171,8 +194,7 @@ def main(argv=None) -> int:
     try:
         _emit(text, args.output)
     except OSError as exc:
-        _emit(_json({"error": "output_unwritable", "detail": str(exc)}), None)
-        return 2
+        return _unwritable(exc)
     return code
 
 

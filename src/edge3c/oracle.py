@@ -1,9 +1,9 @@
 """Brute-force reference solvers used to validate the closed forms.
 
 Nothing here shares algorithmic structure with the policy module: the count
-oracle enumerates every (x1, x2) cell that the one-coordinate constraints
-allow, the per-task oracle enumerates
-every route assignment of every task, and the bandwidth-split oracle runs a
+oracle scans every local count x1 + x2 of the (x1, x2) cells that the
+one-coordinate constraints allow, the per-task oracle enumerates every route
+assignment of every task, and the bandwidth-split oracle runs a
 one-dimensional golden-section search. They do share the package's boundary
 conventions from ``bounds`` (epsilon floor for the cache capacity, the one
 budget tolerance for cache and power, the tie window), so a value one ulp
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from typing import NamedTuple
 
 from .bandwidth import DEFAULT_BANDWIDTH_CAP, RouteCosts, route_costs
@@ -40,22 +41,21 @@ def enumerate_optimal(config: SystemConfig, limit: int = 2000,
                       costs: RouteCosts | None = None) -> OracleSolution:
     """Exhaustive minimum over all count triples (x1, x2, x3) summing to F.
 
-    Enumerates the box of (x1, x2) rows and columns that the one-coordinate
+    Covers the box of (x1, x2) rows and columns that the one-coordinate
     constraints allow (x1 <= Q, and x1 = 0 or x2 = 0 when route 1 or the
-    local routes miss the deadline), checks x3 = F - x1 - x2 and the power
-    budget once per local count x1 + x2, and evaluates the objective on every
-    cell. The box is a leading block of the full (F+1)^2 lattice in
-    row-major order, so the first optimum found is the full lattice's first
-    optimum. Time and memory are O(F^2): memory peaks at about 9 bytes per
-    box cell (the objective and its tie mask), so about 35 MiB at the
-    default ``limit`` of F = 2000.
+    local routes miss the deadline), one diagonal of local count
+    s = x1 + x2 at a time, checking x3 = F - s and the power budget once per
+    diagonal. Along a diagonal the objective ``b2*x2 + b3*x3`` is
+    nondecreasing in x2, since b2 >= 0, so its cell of least x2 is its
+    minimum, and the cells that tie with the optimum, or that equal it, are a
+    prefix that a bisection finds. The answer is that of a scan of every
+    cell: the same total, the same count of tied cells, and the first optimum
+    in row-major order. Time and memory are O(F), apart from a bisection on
+    each diagonal whose minimum lies within the tie window.
 
     ``costs`` are the route costs of a config the caller has already
     validated; given them, the config is neither validated again nor costed.
     """
-    import numpy as np  # imported here so that commands other than verify never load numpy
-    from numpy.lib.stride_tricks import as_strided
-
     if costs is None:
         validate_config(config)
     f = config.task_count
@@ -67,15 +67,17 @@ def enumerate_optimal(config: SystemConfig, limit: int = 2000,
     qf = cache_task_capacity(config.device.cache_bits, config.task.input_remote_bits, f)
     n1 = qf + 1 if costs.route1_feasible else 1
     n2 = f + 1 if costs.route12_feasible else 1
-    # cell (x1, x2) reads the rules' results for s = x1 + x2
-    s = np.arange(n1 + n2 - 1)
-    x3 = f - s
-    valid = x3 >= 0 if costs.route3_feasible else x3 == 0
-    # a draw past float range overflows to inf, which the budget rule rejects
-    with np.errstate(over="ignore"):
-        valid &= power_within_budget(costs.k1, costs.k2, s, x3, config.device.avg_power_w)
-
-    if not valid.any():
+    b2 = costs.b2 if costs.b2 is not None else 0.0
+    b3 = costs.b3 if costs.b3 is not None else 0.0
+    # the local counts that leave x3 = F - s >= 0, or x3 = 0 without route 3
+    last = n1 + n2 - 2
+    if costs.route3_feasible:
+        local_counts = range(min(last, f) + 1)
+    else:
+        local_counts = (f,) if f <= last else ()
+    k1, k2, budget = costs.k1, costs.k2, config.device.avg_power_w
+    fits = [s for s in local_counts if power_within_budget(k1, k2, s, f - s, budget)]
+    if not fits:
         # distinguish the two ways of having no feasible vector; cached tasks
         # still compute locally, so the cache covers nothing once route 1 fails
         reachable = (qf if costs.route1_feasible else 0) \
@@ -84,17 +86,31 @@ def enumerate_optimal(config: SystemConfig, limit: int = 2000,
             raise InfeasibleError("latency", "feasible routes cannot cover the task set")
         raise InfeasibleError("power", "no count vector fits the power budget")
 
-    b2 = costs.b2 if costs.b2 is not None else 0.0
-    b3 = costs.b3 if costs.b3 is not None else 0.0
-    per_s = np.where(valid, b3 * x3, np.inf)
-    objective = b2 * np.arange(n2) + as_strided(per_s, (n1, n2), (per_s.strides[0],) * 2,
-                                                writeable=False)
-    flat = int(np.argmin(objective))
-    best = float(objective.flat[flat])
-    ties = objective <= best + TIE_REL * max(1.0, abs(best))
-    x1_best, x2_best = divmod(flat, n2)
+    # a diagonal's cell of least x2 is its minimum
+    lows = [s - n1 + 1 if s >= n1 else 0 for s in fits]
+    minima = [b2 * lo + b3 * (f - s) for s, lo in zip(fits, lows)]
+    best = min(minima)
+    window = best + TIE_REL * max(1.0, abs(best))
+    ties = 0
+    first = None  # (x1, x2) of the first optimum in row-major order
+    for s, lo, minimum in zip(fits, lows, minima):
+        if minimum > window:
+            continue
+        offload = b3 * (f - s)
+        cells = range(lo, min(s, n2 - 1) + 1)
+
+        def objective(x2: int) -> float:
+            return b2 * x2 + offload
+
+        ties += bisect_right(cells, window, key=objective)
+        if minimum == best:
+            # the optimal cell of least x1 on this diagonal has the most x2
+            x2 = lo + bisect_right(cells, best, key=objective) - 1
+            if first is None or (s - x2, x2) < first:
+                first = (s - x2, x2)
+    x1_best, x2_best = first
     return OracleSolution(x1=x1_best, x2=x2_best, x3=f - x1_best - x2_best,
-                          b_total_hz=best, num_optima=int(ties.sum()))
+                          b_total_hz=best, num_optima=ties)
 
 
 def enumerate_per_task(config: SystemConfig, limit: int = 10,
@@ -164,8 +180,8 @@ def run_verification(trials: int = 1000, seed: int = 0,
     ``trials`` stratified random configs; deterministic for a given seed
     regardless of worker count.
 
-    ``trials`` must lie in [1, MAX_TRIALS]; it is checked before any config
-    is drawn.
+    ``trials`` must lie in [1, MAX_TRIALS] and ``seed`` must be >= 0; both
+    are checked before any config is drawn.
     """
     from .policy import solve_with_costs
     from .sampling import sample_config
@@ -174,6 +190,8 @@ def run_verification(trials: int = 1000, seed: int = 0,
         raise InvalidFieldError("trials", "must be >= 1")
     if trials > MAX_TRIALS:
         raise TooLargeError("trials", trials, MAX_TRIALS)
+    if seed < 0:
+        raise InvalidFieldError("seed", "must be >= 0")
 
     def one(trial: int) -> tuple[float, str]:
         config = sample_config(seed, trial)  # already validated

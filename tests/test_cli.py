@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -154,15 +155,31 @@ def test_exit_2_on_unreadable_or_unparseable(tmp_path, capsys):
     ["solve", "--config", REFCFG],
     ["sweep", "--config", REFCFG, "--param", "cache_bits", "--start", "1", "--stop", "2",
      "--steps", "2"],
-    ["verify", "--trials", "3"],
+    ["verify", "--trials", "100000"],
 ], ids=lambda argv: argv[0])
 def test_exit_2_on_unwritable_output(argv, tmp_path, capsys):
+    # the path is checked before the command starts: 100,000 verify trials
+    # would take tens of seconds
     target = tmp_path / "missing" / "out.txt"
+    start = time.perf_counter()
     assert main([*argv, "--output", str(target)]) == 2
+    assert time.perf_counter() - start < 3.0
     out = json.loads(capsys.readouterr().out)
     assert out["error"] == "output_unwritable"
     assert str(target) in out["detail"]
     assert not target.parent.exists()
+
+
+def test_failed_command_leaves_output_path_as_it_was(tmp_path, capsys):
+    infeasible = write_config(tmp_path, build_config(avg_power_w=9.0))
+    existing = tmp_path / "existing.json"
+    existing.write_text("kept")
+    fresh = tmp_path / "fresh.json"
+    for target in (existing, fresh):
+        assert main(["solve", "--config", infeasible, "--output", str(target)]) == 1
+        assert json.loads(capsys.readouterr().out)["error"] == "infeasible"
+    assert existing.read_text() == "kept"
+    assert not fresh.exists()
 
 
 def test_exit_1_on_invalid_values(tmp_path, capsys):
@@ -219,14 +236,14 @@ def modules_loaded_by(*commands, threads=None) -> set[str]:
     return set(res.stdout.split())
 
 
-def test_only_verify_loads_numpy():
+def test_no_command_loads_numpy():
     assert "numpy" not in modules_loaded_by(
         ("solve", "--config", REFCFG),
         ("regions", "--config", REFCFG, "--human"),
         ("turning-points", "--config", REFCFG),
         ("sweep", "--config", REFCFG, "--param", "device_cpu_hz", "--start", "2 GHz",
-         "--stop", "8 GHz", "--steps", "5", "--baselines", "mec_only,local_only,local_no_cache"))
-    assert "numpy" in modules_loaded_by(("verify", "--trials", "2"))
+         "--stop", "8 GHz", "--steps", "5", "--baselines", "mec_only,local_only,local_no_cache"),
+        ("verify", "--trials", "600", "--seed", "5"))
 
 
 def test_import_loads_neither_dataclasses_nor_the_pool():
@@ -255,6 +272,7 @@ def strict_json(text):
     (("verify", "--trials", "100001"), "too_large"),
     (("sweep", "--config", REFCFG, "--param", "device_cpu_hz", "--start", "2 GHz",
       "--stop", "8 GHz", "--steps", "100001"), "too_large"),
+    (("verify", "--seed", "-1"), "invalid_field"),
 ])
 def test_trial_and_step_bounds_checked_before_any_work(monkeypatch, capsys, argv, error):
     def no_work(*args, **kwargs):

@@ -179,9 +179,9 @@ def test_turning_points_return_on_wide_range_configs():
             assert seen[name, outcome] > 0, seen
 
 
-# a power draw past float range overflows to inf in the lattice's numpy
-# arithmetic, and the budget rule rightly rejects it; the oracle silences
-# that overflow, so any RuntimeWarning here is a fault
+# a power draw past float range overflows to inf, which the budget rule
+# rightly rejects; nothing here computes with numpy, so any RuntimeWarning
+# here is a fault
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_closed_form_lattice_and_baselines_agree_on_wide_range_configs():
     rng = random.Random(WIDE_SEED)

@@ -1,6 +1,8 @@
 import hashlib
 import json
+import random
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -25,7 +27,11 @@ from edge3c import (
     solve_optimal,
     sweep,
 )
+from edge3c.bounds import TIE_REL, cache_task_capacity, power_within_budget
+from edge3c.oracle import OracleSolution
+from edge3c.sampling import _Pcg64
 from conftest import CONFIG_DIR, build_config, power_floor_config
+from test_fuzz import fuzz_config
 
 
 def test_enumeration_matches_constructed_optimum():
@@ -85,7 +91,80 @@ def test_lattice_memory_at_the_limit():
     finally:
         tracemalloc.stop()
     assert (sol.x1, sol.x2, sol.x3, sol.b_total_hz, sol.num_optima) == (2000, 0, 0, 0.0, 1)
-    assert peak < 48 * 2**20
+    assert peak < 2 * 2**20
+
+
+def scan_every_cell(config) -> OracleSolution | None:
+    """enumerate_optimal by a literal scan of every (x1, x2) cell of the
+    lattice, in row-major order; None where no cell is feasible."""
+    costs = route_costs(config)
+    f = config.task_count
+    q = cache_task_capacity(config.device.cache_bits, config.task.input_remote_bits, f)
+    b2, b3 = costs.b2 or 0.0, costs.b3 or 0.0
+    cells = []
+    for x1 in range(f + 1):
+        for x2 in range(f + 1 - x1):
+            x3 = f - x1 - x2
+            if x1 > q or (x1 and not costs.route1_feasible) \
+                    or (x2 and not costs.route12_feasible) or (x3 and not costs.route3_feasible):
+                continue
+            if power_within_budget(costs.k1, costs.k2, x1 + x2, x3, config.device.avg_power_w):
+                cells.append((b2 * x2 + b3 * x3, x1, x2))
+    if not cells:
+        return None
+    best, x1, x2 = min(cells)
+    window = best + TIE_REL * max(1.0, abs(best))
+    return OracleSolution(x1=x1, x2=x2, x3=f - x1 - x2, b_total_hz=best,
+                          num_optima=sum(value <= window for value, _, _ in cells))
+
+
+def test_lattice_oracle_equals_a_scan_of_every_cell():
+    rng = random.Random(2024)
+    configs = [c for c in (fuzz_config(rng) for _ in range(600)) if c.task_count <= 40]
+    # b2 = 0, with nothing to download: every split of a local count ties,
+    # and with nothing to upload either, every split of F ties
+    configs += [build_config(task_count=f, input_remote_bits=0.0, input_local_bits=bits,
+                             avg_power_w=watts)
+                for f in (1, 9, 40) for bits in (0.0, 1.0) for watts in (1.0, 15.0, 1e9)]
+    seen = Counter()
+    for config in configs:
+        expected = scan_every_cell(config)
+        if expected is None:
+            seen["infeasible"] += 1
+            with pytest.raises(InfeasibleError):
+                enumerate_optimal(config)
+            continue
+        assert enumerate_optimal(config) == expected, config
+        f = config.task_count
+        seen["ties" if expected.num_optima > 1 else "unique"] += 1
+        seen["every split ties"] += expected.num_optima == (f + 1) * (f + 2) // 2 > 1
+    assert min(seen["infeasible"], seen["unique"], seen["ties"], seen["every split ties"]) > 0, seen
+
+
+def test_pcg64_port_matches_numpy():
+    rng = random.Random(64)
+    edges = (0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 7)
+    pairs = [(seed, trial) for seed in edges for trial in edges]
+    pairs += [(rng.getrandbits(rng.choice((8, 32, 40, 140))), rng.getrandbits(rng.choice((4, 20, 33, 70))))
+              for _ in range(1000)]
+    for seed, trial in pairs:
+        ours = _Pcg64(seed, trial)
+        theirs = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed,
+                                                                           spawn_key=(trial,))))
+        # integer draws read the 32-bit half that an earlier one buffered,
+        # across any random and uniform draws in between
+        for _ in range(12):
+            kind = rng.randrange(3)
+            if kind == 0:
+                lo = rng.randrange(-100, 100)
+                hi = lo + rng.choice((1, 2, rng.randrange(1, 300), rng.randrange(1, 2**32 - 1)))
+                assert ours.integers(lo, hi) == theirs.integers(lo, hi), (seed, trial)
+            elif kind == 1:
+                assert ours.random() == theirs.random(), (seed, trial)
+            else:
+                lo = rng.uniform(-5.0, 5.0)
+                hi = lo + rng.uniform(0.0, 50.0)
+                assert ours.uniform(lo, hi) == theirs.uniform(lo, hi), (seed, trial)
 
 
 def test_verification_validates_and_costs_each_trial_once(monkeypatch):
