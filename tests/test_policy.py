@@ -1,6 +1,10 @@
+import hashlib
+import random
+
 import pytest
 
 from edge3c import (
+    Edge3cError,
     InfeasibleError,
     REGIME_LABELS,
     RouteCosts,
@@ -8,10 +12,12 @@ from edge3c import (
     classify_regime,
     power_within_budget,
     route_costs,
+    sample_config,
     solve_optimal,
 )
 from edge3c.policy import solve_with_costs
 from conftest import build_config, power_floor_config
+from test_fuzz import fuzz_config, wide_config
 
 
 def test_power_caps_local_tasks():
@@ -193,3 +199,27 @@ def test_solution_dict_shape():
     assert list(d) == ["x1", "x2", "x3", "b_total_hz", "b_avg_hz", "regime", "binding"]
     assert d["regime"] in REGIME_LABELS
     assert isinstance(d["binding"], list)
+
+
+def _pinned_answer(config) -> str:
+    try:
+        sol = solve_optimal(config)
+    except InfeasibleError as exc:
+        return f"infeasible {exc.constraint}"
+    except Edge3cError as exc:
+        return type(exc).__name__
+    return repr((sol.x1, sol.x2, sol.x3, repr(sol.b_total_hz), sol.regime.label, sol.binding))
+
+
+def test_closed_form_answers_are_pinned():
+    # binding has no oracle to check it, so its answers, with the counts,
+    # the bandwidth and the regime, are pinned on the stratified sampler and
+    # on both fuzz samplers
+    digest = hashlib.sha256()
+    configs = [sample_config(seed, trial) for seed in range(3) for trial in range(1000)]
+    fuzz, wide = random.Random(14), random.Random(15)
+    configs += [fuzz_config(fuzz) for _ in range(2000)]
+    configs += [wide_config(wide) for _ in range(2000)]
+    for config in configs:
+        digest.update(_pinned_answer(config).encode() + b"\n")
+    assert digest.hexdigest() == "55a34eb3367a0848215e113dfb96a0aef898f4a1d3fbecb6d228d6203fa66306"
