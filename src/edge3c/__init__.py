@@ -20,7 +20,7 @@ from .bandwidth import (
     route_latency,
     server_compute_latency,
 )
-from .bounds import cache_task_capacity, ceil_eps, floor_eps, power_within_budget
+from .bounds import cache_task_capacity, floor_eps, power_within_budget
 from .errors import (
     ConfigParseError,
     DegenerateChannelError,
@@ -56,7 +56,6 @@ from .oracle import (
     run_verification,
 )
 from .policy import (
-    REGIME_LABELS,
     REGIMES,
     PolicySolution,
     Regime,
@@ -84,7 +83,6 @@ __all__ = [
     "BASELINE_KINDS",
     "DEFAULT_BANDWIDTH_CAP",
     "INF_TOKEN",
-    "REGIME_LABELS",
     "REGIMES",
     "ChannelParams",
     "ConfigParseError",
@@ -107,7 +105,6 @@ __all__ = [
     "TurningPoints",
     "baseline_policy",
     "cache_task_capacity",
-    "ceil_eps",
     "classify_regime",
     "config_from_dict",
     "config_to_dict",

@@ -45,13 +45,13 @@ class RouteCosts(NamedTuple):
     """Per-route bandwidths and power draws of a config, with feasibility flags.
 
     b2/b3 are None when the corresponding route cannot meet the deadline
-    (conceptually infinite); b1 is 0 always. route12_feasible covers both
-    local-compute routes; route1_feasible is the weaker condition that local
-    compute alone fits the deadline (they differ only when the compute time
-    exactly equals the deadline and a remote input still needs downloading).
+    (conceptually infinite); route 1 needs no bandwidth. route12_feasible
+    covers both local-compute routes; route1_feasible is the weaker condition
+    that local compute alone fits the deadline (they differ only when the
+    compute time exactly equals the deadline and a remote input still needs
+    downloading).
     """
 
-    b1: float
     b2: float | None
     b3: float | None
     bu3: float | None
@@ -72,7 +72,7 @@ class RouteCosts(NamedTuple):
             return x if x is not None and math.isfinite(x) else None
 
         return {
-            "b1_hz": self.b1, "b2_hz": self.b2, "b3_hz": self.b3,
+            "b1_hz": 0.0, "b2_hz": self.b2, "b3_hz": self.b3,
             "b3_up_hz": self.bu3, "b3_down_hz": self.bd3,
             "a1_hz_s": finite(self.a1), "a2_hz_s": finite(self.a2), "a3_s": finite(self.a3),
             "k1_w": finite(self.k1), "k2_w": finite(self.k2),
@@ -135,15 +135,16 @@ def route_latency(route: int, config: SystemConfig,
     raise InvalidFieldError("route", "must be 1, 2 or 3")
 
 
-def route_costs(config: SystemConfig, cap: float = DEFAULT_BANDWIDTH_CAP) -> RouteCosts:
+def route_costs(config: SystemConfig) -> RouteCosts:
     """Evaluate all three routes once, recording infeasibility in flags so the
     policy layer can reason over subsets. A route is infeasible when it
-    misses the deadline at every bandwidth, or needs more than ``cap``.
+    misses the deadline at every bandwidth, or needs more than
+    ``DEFAULT_BANDWIDTH_CAP``.
 
     In two parts, so that a deadline or CPU sweep reruns only the second:
     ``_link_costs`` (spectral efficiencies, a1, a2) and ``_point_costs``."""
     return _point_costs(config, _link_costs(config), config.task.deadline_s,
-                        config.device.cpu_hz, cap)
+                        config.device.cpu_hz)
 
 
 def _link_costs(config: SystemConfig) -> tuple[float, float, float, float]:
@@ -159,7 +160,7 @@ def _link_costs(config: SystemConfig) -> tuple[float, float, float, float]:
 
 
 def _point_costs(config: SystemConfig, link: tuple[float, float, float, float],
-                 tau: float, cpu_hz: float, cap: float) -> RouteCosts:
+                 tau: float, cpu_hz: float) -> RouteCosts:
     """route_costs of the config at deadline ``tau`` and device CPU speed
     ``cpu_hz``, given its ``_link_costs``: compute times, slack, a3, B2, B3,
     k1, k2 and the flags."""
@@ -176,19 +177,19 @@ def _point_costs(config: SystemConfig, link: tuple[float, float, float, float],
             b2 = 0.0
     elif slack * se_down > 0:  # 0 with no slack, a dead downlink, or underflow
         b2 = t.input_remote_bits / (slack * se_down)
-        if b2 > cap:
+        if b2 > DEFAULT_BANDWIDTH_CAP:
             b2 = None
 
     b3 = bu3 = bd3 = None
     if a3 > 0 and a1 < math.inf and a2 < math.inf:
         bu3, bd3 = kkt_split(a1, a2, a3)
         b3 = bu3 + bd3
-        if b3 > cap:
+        if b3 > DEFAULT_BANDWIDTH_CAP:
             b3 = bu3 = bd3 = None
 
     k1, k2 = _power_draws(config, tau, cpu_hz, se_up)
     r1ok = compute_local <= tau
-    return RouteCosts(b1=0.0, b2=b2, b3=b3, bu3=bu3, bd3=bd3,
+    return RouteCosts(b2=b2, b3=b3, bu3=bu3, bd3=bd3,
                       a1=a1, a2=a2, a3=a3, k1=k1, k2=k2,
                       route1_feasible=r1ok, route12_feasible=r1ok and b2 is not None,
                       route3_feasible=b3 is not None)

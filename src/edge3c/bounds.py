@@ -17,14 +17,9 @@ REL_EPS = 1e-9
 TIE_REL = 1e-12
 
 
-def floor_eps(x: float, rel: float = REL_EPS) -> int:
+def floor_eps(x: float) -> int:
     """floor(x) robust to downward float noise: floor(x + eps)."""
-    return math.floor(x + rel * max(1.0, abs(x)))
-
-
-def ceil_eps(x: float, rel: float = REL_EPS) -> int:
-    """ceil(x) robust to upward float noise: ceil(x - eps)."""
-    return math.ceil(x - rel * max(1.0, abs(x)))
+    return math.floor(x + REL_EPS * max(1.0, abs(x)))
 
 
 def cache_task_capacity(cache_bits: float, input_remote_bits: float, task_count: int) -> int:

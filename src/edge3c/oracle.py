@@ -17,7 +17,7 @@ import math
 from bisect import bisect_right
 from typing import NamedTuple
 
-from .bandwidth import DEFAULT_BANDWIDTH_CAP, RouteCosts, route_costs
+from .bandwidth import RouteCosts, route_costs
 from .bounds import TIE_REL, cache_task_capacity, power_within_budget, within_budget
 from .errors import InfeasibleError, InvalidFieldError, TooLargeError
 from .model import SystemConfig, validate_config
@@ -37,7 +37,6 @@ class OracleSolution(NamedTuple):
 
 
 def enumerate_optimal(config: SystemConfig, limit: int = 2000,
-                      cap: float = DEFAULT_BANDWIDTH_CAP,
                       costs: RouteCosts | None = None) -> OracleSolution:
     """Exhaustive minimum over all count triples (x1, x2, x3) summing to F.
 
@@ -62,7 +61,7 @@ def enumerate_optimal(config: SystemConfig, limit: int = 2000,
     if f > limit:
         raise TooLargeError("task_count", f, limit)
     if costs is None:
-        costs = route_costs(config, cap)
+        costs = route_costs(config)
 
     qf = cache_task_capacity(config.device.cache_bits, config.task.input_remote_bits, f)
     n1 = qf + 1 if costs.route1_feasible else 1
@@ -113,8 +112,7 @@ def enumerate_optimal(config: SystemConfig, limit: int = 2000,
                           b_total_hz=best, num_optima=ties)
 
 
-def enumerate_per_task(config: SystemConfig, limit: int = 10,
-                       cap: float = DEFAULT_BANDWIDTH_CAP) -> OracleSolution:
+def enumerate_per_task(config: SystemConfig, limit: int = 10) -> OracleSolution:
     """Exhaustive minimum over all 3^F per-task route assignments.
 
     Validates the reduction from per-task decisions to counts: constraints are
@@ -124,7 +122,7 @@ def enumerate_per_task(config: SystemConfig, limit: int = 10,
     f = config.task_count
     if f > limit:
         raise TooLargeError("task_count", f, limit)
-    costs = route_costs(config, cap)
+    costs = route_costs(config)
     t = config.task
     budget = config.device.avg_power_w
     cache_bits = config.device.cache_bits

@@ -40,6 +40,16 @@ constraint that actually bites.
 Configs classify into nine regimes: the sign of k1 - k2, the ordering of B2
 and B3 (ties map to the B3 <= B2 branch), and where the power bound sits
 relative to the cache capacity and F.
+
+A solution's ``binding`` lists the constraints that hold it, in this order:
+
+* "cache": Q, taken as 0 when route 1 misses the deadline, is the tightest
+  bound on x1;
+* "power": when k1 > k2, U is the tightest bound on x1, or U < F stops
+  downloads while B3 > B2 and routes 2 and 3 both meet the deadline; when
+  k1 <= k2, L forces downloads (x2 > 0);
+* "tasks": F is the tightest bound on x1;
+* "latency": some route misses the deadline.
 """
 
 from __future__ import annotations
@@ -47,12 +57,10 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .bandwidth import DEFAULT_BANDWIDTH_CAP, RouteCosts, route_costs
+from .bandwidth import RouteCosts, route_costs
 from .bounds import REL_EPS, cache_task_capacity, power_within_budget, within_budget
 from .errors import InfeasibleError, InvalidFieldError
 from .model import SystemConfig, validate_config
-
-_BINDING_ORDER = ("cache", "power", "tasks", "latency")
 
 
 class Regime(NamedTuple):
@@ -83,7 +91,6 @@ REGIMES = (
     _regime(False, False, "mec-unconstrained"),
     _regime(False, False, "forced-local"),
 )
-REGIME_LABELS = tuple(r.label for r in REGIMES)
 _REGIME_BY_KEY = {(r.k1_gt_k2, r.b3_gt_b2, r.detail): r for r in REGIMES}
 
 
@@ -186,25 +193,20 @@ def solve_with_costs(f: int, q: int, avg_power_w: float, costs: RouteCosts) -> P
     b3_eff = costs.b3 if r3 else float("inf")
     b3_gt_b2 = b3_eff > b2_eff
 
+    # the tightest bound on x1; Q <= F always holds
+    tightest = min(qf, upper) if k1_gt else qf
     if r2 and r3:
+        x1 = tightest
         if k1_gt:
-            x1 = min(qf, upper)
-            if b3_gt_b2:
-                x2 = max(0, min(f, upper) - x1)
-            else:
-                x2 = 0
+            x2 = max(0, min(f, upper) - x1) if b3_gt_b2 else 0
         else:
-            x1 = qf
             x2 = (f - x1) if b3_gt_b2 else max(0, lower - x1)
-    elif r2:
+    elif r3:
+        x1 = tightest
+        x2 = 0
+    else:  # route 2 alone, or route 1 alone with Q = F
         x1 = qf
         x2 = f - x1
-    elif r3:
-        x1 = min(qf, upper) if k1_gt else qf
-        x2 = 0
-    else:
-        x1 = min(qf, f)
-        x2 = 0
     x3 = f - x1 - x2
 
     if k1_gt:
@@ -221,38 +223,30 @@ def solve_with_costs(f: int, q: int, avg_power_w: float, costs: RouteCosts) -> P
             detail = "forced-local" if x2 > 0 else "mec-unconstrained"
     regime = _REGIME_BY_KEY[(k1_gt, b3_gt_b2, detail)]
 
-    binding = set()
-    x1_bounds = {"cache": qf, "tasks": f}
-    if k1_gt:
-        x1_bounds["power"] = upper
-    m = min(x1_bounds.values())
-    for name, bound in x1_bounds.items():
-        if bound == m:
-            binding.add(name)
-    if k1_gt and b3_gt_b2 and r2 and r3 and upper < f:
-        binding.add("power")
-    if not k1_gt and x2 > 0:
-        binding.add("power")
-    if not (costs.route1_feasible and r2 and r3):
-        binding.add("latency")
-    ordered = tuple(n for n in _BINDING_ORDER if n in binding)
+    binding = tuple(name for name, holds in (
+        ("cache", qf == tightest),
+        ("power", (upper == tightest or (b3_gt_b2 and r2 and r3 and upper < f)) if k1_gt
+         else x2 > 0),
+        ("tasks", f == tightest),
+        ("latency", not (costs.route1_feasible and r2 and r3)),
+    ) if holds)
 
     b_total = (costs.b2 * x2 if x2 else 0.0) + (costs.b3 * x3 if x3 else 0.0)
     return PolicySolution(x1=x1, x2=x2, x3=x3, b_total_hz=b_total, b_avg_hz=b_total / f,
-                          regime=regime, binding=ordered)
+                          regime=regime, binding=binding)
 
 
-def solve_optimal(config: SystemConfig, cap: float = DEFAULT_BANDWIDTH_CAP) -> PolicySolution:
+def solve_optimal(config: SystemConfig) -> PolicySolution:
     """Closed-form bandwidth-minimal route counts for the task set."""
     validate_config(config)
     f = config.task_count
     q = cache_task_capacity(config.device.cache_bits, config.task.input_remote_bits, f)
-    return solve_with_costs(f, q, config.device.avg_power_w, route_costs(config, cap))
+    return solve_with_costs(f, q, config.device.avg_power_w, route_costs(config))
 
 
-def classify_regime(config: SystemConfig, cap: float = DEFAULT_BANDWIDTH_CAP) -> Regime:
+def classify_regime(config: SystemConfig) -> Regime:
     """Which of the nine operating regions the config sits in (unique)."""
-    return solve_optimal(config, cap).regime
+    return solve_optimal(config).regime
 
 
 def baseline_counts(kind: str, f: int, q: int, avg_power_w: float,
@@ -286,8 +280,7 @@ def baseline_counts(kind: str, f: int, q: int, avg_power_w: float,
     raise InvalidFieldError("kind", f"unknown baseline {kind!r}")
 
 
-def baseline_policy(kind: str, config: SystemConfig,
-                    cap: float = DEFAULT_BANDWIDTH_CAP) -> PolicySolution:
+def baseline_policy(kind: str, config: SystemConfig) -> PolicySolution:
     """Fixed reference policies: "mec_only" offloads everything,
     "local_only" computes everything locally (cache first), "local_no_cache"
     computes locally without using the cache.
@@ -295,7 +288,7 @@ def baseline_policy(kind: str, config: SystemConfig,
     The regime reported is the config's own, so a baseline of a config whose
     optimum is infeasible raises too."""
     validate_config(config)
-    costs = route_costs(config, cap)
+    costs = route_costs(config)
     f = config.task_count
     q = cache_task_capacity(config.device.cache_bits, config.task.input_remote_bits, f)
     scalars = (f, q, config.device.avg_power_w)

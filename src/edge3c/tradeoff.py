@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .bandwidth import DEFAULT_BANDWIDTH_CAP, RouteCosts, _link_costs, _point_costs, route_costs
+from .bandwidth import RouteCosts, _link_costs, _point_costs, route_costs
 from .bounds import cache_task_capacity
 from .errors import InfeasibleError, InvalidFieldError, TooLargeError
 from .model import (
@@ -81,13 +81,13 @@ def _div(num: float, den: float) -> float:
     return num / den
 
 
-def turning_points(config: SystemConfig, cap: float = DEFAULT_BANDWIDTH_CAP) -> TurningPoints:
+def turning_points(config: SystemConfig) -> TurningPoints:
     """The up-to-three cpu-speed turning points of the config's bandwidth curve."""
     validate_config(config)
     t, d = config.task, config.device
     tau, f, pbar, mu = t.deadline_s, config.task_count, d.avg_power_w, d.switched_capacitance
     i_total = t.input_local_bits + t.input_remote_bits
-    costs = route_costs(config, cap)
+    costs = route_costs(config)
     absent: dict[str, str] = {}
     no_dynamic_power = mu <= 0 or t.cycles_per_bit * i_total <= 0
     # mu * w * I_total, the dynamic-power factor in f2 and f3
@@ -212,8 +212,7 @@ def grid_values(spec: SweepSpec) -> list[float]:
     return [spec.start + step * i for i in range(n)]
 
 
-def sweep(config: SystemConfig, spec: SweepSpec,
-          cap: float = DEFAULT_BANDWIDTH_CAP) -> list[SweepRow]:
+def sweep(config: SystemConfig, spec: SweepSpec) -> list[SweepRow]:
     """Re-solve the policy over a value grid for one parameter.
 
     Infeasible grid points become error rows, not gaps, and so do values the
@@ -245,7 +244,7 @@ def sweep(config: SystemConfig, spec: SweepSpec,
     if moves_costs:
         link = _link_costs(config)
     else:
-        costs = route_costs(config, cap)
+        costs = route_costs(config)
     q = cache_task_capacity(d.cache_bits, i_remote, f)
     # key -> (solution, error, baselines) of the cache or power points solved so far
     solved: dict = {}
@@ -255,7 +254,7 @@ def sweep(config: SystemConfig, spec: SweepSpec,
         if valid:
             point[param] = value
             if moves_costs:
-                costs = _point_costs(config, link, point["deadline_s"], point["device_cpu_hz"], cap)
+                costs = _point_costs(config, link, point["deadline_s"], point["device_cpu_hz"])
                 valid = _draws_violation(config, costs.k1, costs.k2) is None
         if not valid:
             rows.append(SweepRow(param, value, None, "invalid_config",

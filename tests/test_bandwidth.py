@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from edge3c import (
+    DEFAULT_BANDWIDTH_CAP,
     kkt_split,
     local_compute_latency,
     route_costs,
@@ -32,7 +33,7 @@ def test_latencies_constructed():
 
 def test_route1_zero_or_infeasible():
     costs = route_costs(build_config())
-    assert costs.b1 == 0.0 and costs.route1_feasible
+    assert costs.route1_feasible
     # boundary: compute time exactly equals the deadline
     assert route_costs(build_config(cpu_hz=1.0)).route1_feasible
     assert not route_costs(build_config(cpu_hz=0.5)).route1_feasible
@@ -117,7 +118,6 @@ def test_route_latency_zero_payload_terms():
 
 def test_route_costs_aggregate(reference_config):
     costs = route_costs(reference_config)
-    assert costs.b1 == 0.0
     assert math.isclose(costs.b2, B2_REFCFG, rel_tol=1e-12)
     assert math.isclose(costs.b3, B3_REFCFG, rel_tol=1e-12)
     assert math.isclose(costs.bu3, BU_REFCFG, rel_tol=1e-12)
@@ -142,9 +142,11 @@ def test_route_costs_flags_degenerate():
 
 
 def test_bandwidth_cap_cuts_off():
-    cfg = build_config()  # B2 = 1 Hz, B3 = 2 Hz
-    costs = route_costs(cfg, cap=0.5)
-    assert costs.b2 is None and not costs.route12_feasible
-    assert costs.b3 is None and not costs.route3_feasible
-    # a bandwidth exactly at the cap is still feasible
-    assert route_costs(cfg, cap=1.0).b2 == 1.0
+    # with no compute the whole 2 s deadline is air time, at 1 bit/s/Hz each
+    # way: B2 = I_remote / 2 s. A bandwidth exactly at the cap is still feasible
+    at_cap = route_costs(build_config(cycles_per_bit=0.0, input_remote_bits=2e12))
+    assert at_cap.b2 == DEFAULT_BANDWIDTH_CAP == 1e12 and at_cap.route12_feasible
+    past = route_costs(build_config(cycles_per_bit=0.0, input_remote_bits=2.0000001e12))
+    assert past.b2 is None and not past.route12_feasible
+    offload = route_costs(build_config(cycles_per_bit=0.0, output_bits=3e12))
+    assert offload.b3 is None and offload.bu3 is None and not offload.route3_feasible

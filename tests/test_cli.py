@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from edge3c import REGIME_LABELS, config_to_dict
+from edge3c import REGIMES, config_to_dict
 from edge3c.cli import main
 from conftest import CONFIG_DIR, build_config
 
@@ -32,7 +32,7 @@ def test_solve_json_shape(capsys):
     assert main(["solve", "--config", REFCFG]) == 0
     out = json.loads(capsys.readouterr().out)
     assert [out["x1"], out["x2"], out["x3"]] == [200, 100, 0]
-    assert out["regime"] in REGIME_LABELS
+    assert out["regime"] in {r.label for r in REGIMES}
     assert list(out) == ["x1", "x2", "x3", "b_total_hz", "b_avg_hz",
                          "regime", "binding", "routes"]
     assert out["routes"]["b1_hz"] == 0.0

@@ -6,7 +6,7 @@ import pytest
 from edge3c import (
     Edge3cError,
     InfeasibleError,
-    REGIME_LABELS,
+    REGIMES,
     RouteCosts,
     baseline_policy,
     classify_regime,
@@ -67,7 +67,7 @@ def test_power_bound_is_the_extreme_count_the_budget_rule_accepts(f, k1, k2, bud
     # the last two windows span more than F counts. With an empty cache and
     # the power bound on the cheaper route, x2 is the bound
     b2, b3 = (1.0, 2.0) if k1 > k2 else (2.0, 1.0)
-    costs = RouteCosts(b1=0.0, b2=b2, b3=b3, bu3=b3, bd3=0.0, a1=1.0, a2=1.0, a3=1.0,
+    costs = RouteCosts(b2=b2, b3=b3, bu3=b3, bd3=0.0, a1=1.0, a2=1.0, a3=1.0,
                        k1=k1, k2=k2, route1_feasible=True, route12_feasible=True,
                        route3_feasible=True)
     sol = solve_with_costs(f, 0, budget, costs)
@@ -107,12 +107,12 @@ def test_offload_cheaper_skips_downloads():
 
 
 def test_every_label_is_known():
-    assert len(REGIME_LABELS) == 9
-    assert len(set(REGIME_LABELS)) == 9
-    for label in REGIME_LABELS:
+    labels = [r.label for r in REGIMES]
+    assert len(set(labels)) == 9
+    for label in labels:
         assert "," not in label
     sol = solve_optimal(build_config())
-    assert sol.regime.label in REGIME_LABELS
+    assert sol.regime in REGIMES
     assert classify_regime(build_config()).label == sol.regime.label
 
 
@@ -197,7 +197,7 @@ def test_baselines_report_infeasibility():
 def test_solution_dict_shape():
     d = solve_optimal(build_config()).to_dict()
     assert list(d) == ["x1", "x2", "x3", "b_total_hz", "b_avg_hz", "regime", "binding"]
-    assert d["regime"] in REGIME_LABELS
+    assert d["regime"] in {r.label for r in REGIMES}
     assert isinstance(d["binding"], list)
 
 

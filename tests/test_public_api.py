@@ -8,7 +8,7 @@ REMOVED = (
     "cache_power_balance_cpu_hz", "download_offload_crossover_cpu_hz",
     "expand_assignment", "format_bits", "format_seconds", "format_watts",
     "power_saturation_cpu_hz", "route1_bandwidth", "route2_bandwidth",
-    "route3_bandwidth", "route_power",
+    "route3_bandwidth", "route_power", "ceil_eps", "REGIME_LABELS",
 )
 
 
