@@ -110,7 +110,9 @@ def route_latency(route: int, config: SystemConfig,
     """End-to-end latency of one task on the given route at the given bandwidths.
 
     Transfer terms with zero payload contribute 0 regardless of bandwidth;
-    a positive payload requires a positive bandwidth on its leg.
+    a positive payload requires a positive bandwidth on its leg. Where the
+    leg's rate ``bw * se`` underflows to 0 with bits to move, the transfer
+    takes forever: the latency is ``math.inf``, as in ``tradeoff._div``.
     """
     t = config.task
 
@@ -121,7 +123,8 @@ def route_latency(route: int, config: SystemConfig,
             raise DegenerateChannelError(f"{leg} spectral efficiency is 0 with {bits} bits to move")
         if bw <= 0:
             raise InvalidFieldError(f"{leg}_hz", "must be > 0 when there are bits to move")
-        return bits / (bw * se)
+        rate = bw * se
+        return bits / rate if rate > 0 else math.inf
 
     if route == 1:
         return local_compute_latency(config)

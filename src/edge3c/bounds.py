@@ -50,3 +50,13 @@ def power_within_budget(k1: float, k2: float, x_local: int, x_offload: int,
     """Whether a mix of x_local locally-computed and x_offload offloaded tasks
     fits the average power budget (``within_budget``)."""
     return within_budget(k1 * x_local + k2 * x_offload, budget_w)
+
+
+def counts_within_power_budget(k1: float, k2: float, f: int, counts,
+                               budget_w: float) -> list[int]:
+    """The local counts s of ``counts`` that ``power_within_budget(k1, k2, s,
+    f - s, budget_w)`` accepts, by the same float operations, with the limit
+    computed once. Every count is checked, with no monotonicity assumed; the
+    two functions change together."""
+    limit = budget_w * (1.0 + REL_EPS)
+    return [s for s in counts if k1 * s + k2 * (f - s) <= limit]

@@ -18,7 +18,7 @@ from bisect import bisect_right
 from typing import NamedTuple
 
 from .bandwidth import RouteCosts, route_costs
-from .bounds import TIE_REL, cache_task_capacity, power_within_budget, within_budget
+from .bounds import TIE_REL, cache_task_capacity, counts_within_power_budget, within_budget
 from .errors import InfeasibleError, InvalidFieldError, TooLargeError
 from .model import SystemConfig, validate_config
 from .parallel import ordered_map
@@ -44,13 +44,14 @@ def enumerate_optimal(config: SystemConfig, limit: int = 2000,
     constraints allow (x1 <= Q, and x1 = 0 or x2 = 0 when route 1 or the
     local routes miss the deadline), one diagonal of local count
     s = x1 + x2 at a time, checking x3 = F - s and the power budget once per
-    diagonal. Along a diagonal the objective ``b2*x2 + b3*x3`` is
-    nondecreasing in x2, since b2 >= 0, so its cell of least x2 is its
-    minimum, and the cells that tie with the optimum, or that equal it, are a
-    prefix that a bisection finds. The answer is that of a scan of every
-    cell: the same total, the same count of tied cells, and the first optimum
-    in row-major order. Time and memory are O(F), apart from a bisection on
-    each diagonal whose minimum lies within the tie window.
+    diagonal, every one through ``counts_within_power_budget``. Along a
+    diagonal the objective ``b2*x2 + b3*x3`` is nondecreasing in x2, since
+    b2 >= 0, so its cell of least x2 is its minimum, found in one pass; the
+    cells that tie with the optimum, or that equal it, are a prefix that a
+    bisection finds. The answer is that of a scan of every cell: the same
+    total, the same count of tied cells, and the first optimum in row-major
+    order. Time and memory are O(F), apart from a bisection on each diagonal
+    whose minimum lies within the tie window.
 
     ``costs`` are the route costs of a config the caller has already
     validated; given them, the config is neither validated again nor costed.
@@ -75,7 +76,7 @@ def enumerate_optimal(config: SystemConfig, limit: int = 2000,
     else:
         local_counts = (f,) if f <= last else ()
     k1, k2, budget = costs.k1, costs.k2, config.device.avg_power_w
-    fits = [s for s in local_counts if power_within_budget(k1, k2, s, f - s, budget)]
+    fits = counts_within_power_budget(k1, k2, f, local_counts, budget)
     if not fits:
         # distinguish the two ways of having no feasible vector; cached tasks
         # still compute locally, so the cache covers nothing once route 1 fails
@@ -86,15 +87,15 @@ def enumerate_optimal(config: SystemConfig, limit: int = 2000,
         raise InfeasibleError("power", "no count vector fits the power budget")
 
     # a diagonal's cell of least x2 is its minimum
-    lows = [s - n1 + 1 if s >= n1 else 0 for s in fits]
-    minima = [b2 * lo + b3 * (f - s) for s, lo in zip(fits, lows)]
+    minima = [b2 * (s - n1 + 1 if s >= n1 else 0) + b3 * (f - s) for s in fits]
     best = min(minima)
     window = best + TIE_REL * max(1.0, abs(best))
     ties = 0
     first = None  # (x1, x2) of the first optimum in row-major order
-    for s, lo, minimum in zip(fits, lows, minima):
+    for s, minimum in zip(fits, minima):
         if minimum > window:
             continue
+        lo = s - n1 + 1 if s >= n1 else 0
         offload = b3 * (f - s)
         cells = range(lo, min(s, n2 - 1) + 1)
 

@@ -1,8 +1,8 @@
-"""Worker-count resolution and order-preserving parallel map.
+"""Worker-count resolution and the order-preserving map that verify runs on.
 
-Results must be byte-identical whatever the worker count, so the only
-parallel primitive offered is an ordered map over a pure function; the
-EDGE3C_THREADS environment variable caps the pool size.
+Every trial is pure Python and holds the GIL, so ``ordered_map`` maps in
+order in the calling thread and starts no thread. Output is byte-identical
+whatever EDGE3C_THREADS says, but the variable is still read and checked.
 """
 
 from __future__ import annotations
@@ -31,11 +31,5 @@ def worker_count(explicit: int | None = None) -> int:
 
 
 def ordered_map(fn, items, threads: int | None = None) -> list:
-    n = worker_count(threads)
-    items = list(items)
-    if n == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    # imported here so that a run without a pool never loads concurrent.futures
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
+    worker_count(threads)
+    return [fn(x) for x in items]

@@ -5,6 +5,7 @@ import pytest
 
 from edge3c import (
     DEFAULT_BANDWIDTH_CAP,
+    InvalidFieldError,
     kkt_split,
     local_compute_latency,
     route_costs,
@@ -114,6 +115,19 @@ def test_route_latency_zero_payload_terms():
     # no output: downlink bandwidth irrelevant on route 3
     lat = route_latency(3, cfg, uplink_hz=2.0, downlink_hz=0.0)
     assert lat == 0.5 + 1.5
+
+
+def test_route_latency_is_infinite_where_the_rate_underflows():
+    # -10 dB gives SE = log2(1.1) < 0.5, so the least subnormal bandwidth
+    # times SE rounds to a rate of 0 with one bit to move on each leg
+    cfg = build_config(output_bits=1.0, snr_up_db=-10.0, snr_down_db=-10.0)
+    tiny = math.ulp(0.0)
+    assert route_latency(2, cfg, downlink_hz=tiny) == math.inf
+    assert route_latency(3, cfg, uplink_hz=tiny, downlink_hz=1.0) == math.inf
+    assert route_latency(3, cfg, uplink_hz=1.0, downlink_hz=tiny) == math.inf
+    # a bandwidth that is 0 before any rounding is still a typed error
+    with pytest.raises(InvalidFieldError):
+        route_latency(2, cfg, downlink_hz=0.0)
 
 
 def test_route_costs_aggregate(reference_config):

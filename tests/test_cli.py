@@ -248,8 +248,8 @@ def test_no_command_loads_numpy():
 
 def test_import_loads_neither_dataclasses_nor_the_pool():
     assert not modules_loaded_by() & {"dataclasses", "inspect", "concurrent.futures", "logging"}
-    # a run with more than one worker still gets its pool
-    assert "concurrent.futures" in modules_loaded_by(("verify", "--trials", "2"), threads="2")
+    # nor does a run with more than one worker: verify maps in the calling thread
+    assert "concurrent.futures" not in modules_loaded_by(("verify", "--trials", "2"), threads="2")
 
 
 def test_bad_thread_env_rejected():

@@ -24,6 +24,7 @@ from edge3c import (
     BASELINE_KINDS,
     ChannelParams,
     DeviceParams,
+    Edge3cError,
     InfeasibleError,
     InvalidConfigError,
     ServerParams,
@@ -36,10 +37,13 @@ from edge3c import (
     relative_error,
     replace_field,
     route_costs,
+    route_latency,
+    sample_config,
     solve_optimal,
     turning_points,
     validate_config,
 )
+from edge3c.bounds import REL_EPS, counts_within_power_budget, power_within_budget
 
 SEED = 20201
 COUNT = 4000
@@ -218,4 +222,99 @@ def test_closed_form_lattice_and_baselines_agree_on_wide_range_configs():
     # both infeasibility classes, solved configs and every feasible baseline occurred
     for branch in ("latency", "power", "solved", *BASELINE_KINDS,
                    *(("F > 200", name) for name in ("latency", "power", "solved"))):
+        assert seen[branch] > 0, (branch, seen)
+
+
+def test_route_latency_never_divides_by_zero_on_wide_range_configs():
+    """At its own route_costs bandwidths, a valid wide draw's route latency is
+    a number, possibly infinite where a rate underflows, or a typed error."""
+    rng = random.Random(WIDE_SEED)
+    seen = Counter()
+    for _ in range(WIDE_COUNT // 4):
+        config = wide_config(rng)
+        try:
+            validate_config(config)
+            costs = route_costs(config)
+        except Edge3cError:  # an invalid config, or a dead uplink with bits to send
+            continue
+        legs = []
+        if costs.b2 is not None:
+            legs.append((2, {"downlink_hz": costs.b2}))
+        if costs.b3 is not None:
+            legs.append((3, {"uplink_hz": costs.bu3, "downlink_hz": costs.bd3}))
+        for route, bandwidths in legs:
+            try:
+                latency = route_latency(route, config, **bandwidths)
+            except Edge3cError as exc:
+                seen[route, exc.code] += 1
+                continue
+            assert not math.isnan(latency), (route, bandwidths, config)
+            seen[route, "infinite" if latency == math.inf else "finite"] += 1
+    # the underflowed rates that used to raise ZeroDivisionError occurred on both routes
+    for route in (2, 3):
+        assert seen[route, "infinite"] > 0 and seen[route, "finite"] > 0, seen
+
+
+def budgets_near_draws(k1: float, k2: float, f: int, rng: random.Random) -> set[float]:
+    """Positive finite budgets within 3 ulps of the exact draws at 0, a random
+    count and F local tasks, and of each draw's tolerance-window edge."""
+    budgets = set()
+    for s in (0, rng.randint(0, f), f):
+        draw = k1 * s + k2 * (f - s)
+        for target in (draw, draw / (1.0 + REL_EPS)):
+            budget = target
+            for _ in range(3):
+                budget = math.nextafter(budget, -math.inf)
+            for _ in range(7):
+                if 0.0 < budget < math.inf:
+                    budgets.add(budget)
+                budget = math.nextafter(budget, math.inf)
+    return budgets
+
+
+def edge_configs():
+    rng = random.Random(SEED + 1)
+    for seed in range(3):
+        for trial in range(27):
+            yield sample_config(seed, trial)
+    for _ in range(60):
+        yield fuzz_config(rng)
+    wide_rng = random.Random(WIDE_SEED + 1)
+    kept = 0
+    while kept < 40:
+        config = wide_config(wide_rng)
+        if config.task_count > WIDE_LATTICE_MAX_F:
+            continue
+        try:
+            validate_config(config)
+        except InvalidConfigError:
+            continue
+        kept += 1
+        yield config
+
+
+def test_batched_power_rule_matches_the_per_count_rule_at_tolerance_edges():
+    """With the budget a few ulps from a draw or from its window edge, the
+    batched rule accepts exactly the counts the per-count rule accepts, and
+    the closed form agrees with the lattice oracle."""
+    rng = random.Random(SEED + 2)
+    seen = Counter()
+    for config in edge_configs():
+        costs = route_costs(config)
+        k1, k2, f = costs.k1, costs.k2, config.task_count
+        counts = range(f + 1)
+        accepted = set()
+        for budget in sorted(budgets_near_draws(k1, k2, f, rng)):
+            fits = counts_within_power_budget(k1, k2, f, counts, budget)
+            assert fits == [s for s in counts if power_within_budget(k1, k2, s, f - s, budget)], \
+                (budget, config)
+            accepted.add(tuple(fits))
+            moved = replace_field(config, "device.avg_power_w", budget)
+            lattice = outcome(enumerate_optimal, moved)
+            seen[lattice[0]] += 1
+            assert_agree(outcome(solve_optimal, moved), lattice, moved,
+                         "closed form vs lattice at a power edge")
+        # the budgets straddled a boundary of the rule on this config
+        seen["edge crossed"] += len(accepted) > 1
+    for branch in ("solved", "power", "edge crossed"):
         assert seen[branch] > 0, (branch, seen)
