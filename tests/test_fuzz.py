@@ -12,6 +12,11 @@ validator accepts it checks that the turning points stay finite and
 positive, or absent, and, for F up to 200, that the closed form matches the
 lattice oracle and no baseline beats the optimum; above F = 200 it compares
 the closed form with the lattice oracle on every tenth valid draw.
+
+Two more checks reuse the samplers: the power budget moved to within a few
+ulps of a draw, or of its tolerance-window edge, where the batched and the
+per-count power rules must accept the same counts; and each route's latency
+at a wide draw's own bandwidths, which must never divide by zero.
 """
 
 import math
