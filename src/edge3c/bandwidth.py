@@ -46,10 +46,10 @@ class RouteCosts(NamedTuple):
 
     b2/b3 are None when the corresponding route cannot meet the deadline
     (conceptually infinite); route 1 needs no bandwidth. route12_feasible
-    covers both local-compute routes; route1_feasible is the weaker condition
-    that local compute alone fits the deadline (they differ only when the
-    compute time exactly equals the deadline and a remote input still needs
-    downloading).
+    (b2 is not None) covers both local-compute routes, and route3_feasible is
+    b3 is not None. route1_feasible is the weaker condition that local compute
+    alone fits the deadline (they differ only when the compute time exactly
+    equals the deadline and a remote input still needs downloading).
     """
 
     b2: float | None
@@ -62,8 +62,8 @@ class RouteCosts(NamedTuple):
     k1: float
     k2: float
     route1_feasible: bool
-    route12_feasible: bool
-    route3_feasible: bool
+    route12_feasible = property(lambda self: self.b2 is not None)
+    route3_feasible = property(lambda self: self.b3 is not None)
 
     def to_dict(self) -> dict:
         """JSON-ready fields. A non-finite float, such as the transfer cost a2
@@ -191,8 +191,6 @@ def _point_costs(config: SystemConfig, link: tuple[float, float, float, float],
             b3 = bu3 = bd3 = None
 
     k1, k2 = _power_draws(config, tau, cpu_hz, se_up)
-    r1ok = compute_local <= tau
     return RouteCosts(b2=b2, b3=b3, bu3=bu3, bd3=bd3,
                       a1=a1, a2=a2, a3=a3, k1=k1, k2=k2,
-                      route1_feasible=r1ok, route12_feasible=r1ok and b2 is not None,
-                      route3_feasible=b3 is not None)
+                      route1_feasible=compute_local <= tau)

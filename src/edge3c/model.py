@@ -16,17 +16,15 @@ derived per-task power draws that drive the allocation policy:
 * local computing power  ``k1 = mu * f_D^2 * w * (I_local + I_remote) / (tau * F)``
 * uplink transmit power  ``k2 = P_U * I_local / (F * tau * SE_up)``
 
-Spectral efficiency is ``log2(1 + psd * gain^2 / noise_psd)`` in bit/s/Hz; an
-explicit SNR-in-dB override on the channel takes precedence over the PSD
-triple (a warning is emitted at load time when both are usable).
+Spectral efficiency is ``log2(1 + psd * gain^2 / noise_psd)`` in bit/s/Hz.
+A channel's ``snr_up_db`` / ``snr_down_db``, when present, sets its link's
+spectral efficiency instead, and the PSD triple of that link goes unused.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import warnings
-from pathlib import Path
 from typing import NamedTuple
 
 from .errors import ConfigParseError, DegenerateChannelError, InvalidConfigError, InvalidFieldError
@@ -59,8 +57,8 @@ class ServerParams(NamedTuple):
 class ChannelParams(NamedTuple):
     gain: float                    # amplitude gain; SNR uses gain^2
     noise_psd: float               # W/Hz
-    snr_up_db: float | None = None     # optional overrides; dB wins over the
-    snr_down_db: float | None = None   # PSD triple when both are present
+    snr_up_db: float | None = None     # optional overrides of the PSD
+    snr_down_db: float | None = None   # triple (see the module docstring)
 
 
 class SystemConfig(NamedTuple):
@@ -147,20 +145,6 @@ def _power_draws(config: SystemConfig, tau: float, cpu_hz: float,
 
 # --- validation ------------------------------------------------------------
 
-def _check(violations, cond: bool, field: str, reason: str):
-    if not cond:
-        violations.append(InvalidFieldError(field, reason))
-
-
-def _converts_to_float(n: int) -> bool:
-    """Whether float(n) succeeds; the power draws divide by F as a float."""
-    try:
-        float(n)
-    except OverflowError:
-        return False
-    return True
-
-
 def _finite(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
@@ -183,6 +167,21 @@ def _finite_pos(x) -> str | None:
 
 def _finite_if_present(x) -> str | None:
     return None if x is None or _finite(x) else "must be a finite number when present"
+
+
+def _task_count(n) -> str | None:
+    if not isinstance(n, int) or isinstance(n, bool):
+        return "must be an integer"
+    float(n)  # OverflowError past float range: the power draws divide by F as a float
+    return "must be >= 1" if n < 1 else None
+
+
+def _reason(rule, x) -> str | None:
+    """rule(x), where an integer that float() cannot hold fails every rule."""
+    try:
+        return rule(x)
+    except OverflowError:  # from float() or math.isfinite
+        return "must be within float range"
 
 
 #: section -> type -> (field, unit dimension, rule), in field order. A rule
@@ -220,7 +219,7 @@ def field_violation(dotted: str, value) -> InvalidFieldError | None:
 
     Rules that relate several fields are checked by derived_violation.
     """
-    reason = _FIELD_SPECS[dotted][1](value)
+    reason = _reason(_FIELD_SPECS[dotted][1], value)
     return None if reason is None else InvalidFieldError(dotted, reason)
 
 
@@ -256,17 +255,12 @@ def _draws_violation(config: SystemConfig, k1: float, k2: float) -> InvalidField
 
 def config_violations(config: SystemConfig) -> list[InvalidFieldError]:
     """All invariant violations of the config, in field order. Empty means valid."""
-    v: list[InvalidFieldError] = []
-    _check(v, isinstance(config.task_count, int) and not isinstance(config.task_count, bool),
-           "task_count", "must be an integer")
-    if isinstance(config.task_count, int) and not isinstance(config.task_count, bool):
-        _check(v, config.task_count >= 1, "task_count", "must be >= 1")
-        _check(v, _converts_to_float(config.task_count), "task_count", "must be within float range")
-
+    reason = _reason(_task_count, config.task_count)
+    v = [] if reason is None else [InvalidFieldError("task_count", reason)]
     for section, _, fields in _FIELDS:
         values = getattr(config, section)
         for name, _, rule in fields:
-            reason = rule(getattr(values, name))
+            reason = _reason(rule, getattr(values, name))
             if reason is not None:
                 v.append(InvalidFieldError(f"{section}.{name}", reason))
 
@@ -348,19 +342,14 @@ def config_from_dict(raw: dict) -> SystemConfig:
     violations.extend(config_violations(config))
     if violations:
         raise InvalidConfigError(violations)
-
-    ch = config.channel
-    if ch.snr_up_db is not None:
-        warnings.warn("channel.snr_up_db overrides the uplink PSD/gain/noise triple", stacklevel=2)
-    if ch.snr_down_db is not None:
-        warnings.warn("channel.snr_down_db overrides the downlink PSD/gain/noise triple", stacklevel=2)
     return config
 
 
 def load_config(path) -> SystemConfig:
     """Load, unit-normalize and validate a JSON config file."""
     try:
-        text = Path(path).read_text()
+        with open(path) as fh:
+            text = fh.read()
     except OSError as exc:
         raise ConfigParseError(f"cannot read {path}: {exc}") from exc
     try:

@@ -56,7 +56,10 @@ def parse_quantity(value, dimension: str, field: str = "value") -> float:
     if isinstance(value, bool):
         raise InvalidFieldError(field, "expected a number, got a boolean")
     if isinstance(value, (int, float)):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:  # an integer past float range
+            raise InvalidFieldError(field, "must be within float range") from None
     if not isinstance(value, str):
         raise InvalidFieldError(field, f"expected number or quantity string, got {type(value).__name__}")
 

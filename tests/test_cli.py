@@ -6,11 +6,22 @@ import time
 
 import pytest
 
-from edge3c import REGIMES, config_to_dict
+from edge3c import REGIMES, InvalidConfigError, config_to_dict, replace_field, validate_config
 from edge3c.cli import main
-from conftest import CONFIG_DIR, build_config
+from conftest import CONFIG_DIR, REPO_ROOT, build_config
 
 REFCFG = str(CONFIG_DIR / "reference.json")
+SHIPPED_CONFIGS = sorted(CONFIG_DIR.glob("*.json"))
+
+
+def config_commands(config) -> list[tuple[str, ...]]:
+    """solve, regions, turning-points and a sweep with every baseline, on one config."""
+    return [("solve", "--config", str(config)),
+            ("regions", "--config", str(config), "--human"),
+            ("turning-points", "--config", str(config), "--human"),
+            ("sweep", "--config", str(config), "--param", "device_cpu_hz", "--start", "2 GHz",
+             "--stop", "8 GHz", "--steps", "5", "--baselines",
+             "mec_only,local_only,local_no_cache")]
 
 
 def run_cli(*argv, env_extra=None):
@@ -214,10 +225,11 @@ def test_thread_env_does_not_change_output():
     assert serial.stdout == threaded.stdout
 
 
-def modules_loaded_by(*commands, threads=None) -> set[str]:
+def modules_loaded_by(*commands, threads=None, clean=False) -> set[str]:
     """The modules a fresh interpreter loads to import edge3c.cli and run
     each CLI command through its main, with EDGE3C_THREADS set to
-    ``threads`` or unset."""
+    ``threads`` or unset. A ``clean`` interpreter runs with ``-S``, so that
+    no site-packages hook loads a module first."""
     script = ("import contextlib, io, sys\n"
               "before = set(sys.modules)\n"
               "from edge3c.cli import main\n"
@@ -231,25 +243,37 @@ def modules_loaded_by(*commands, threads=None) -> set[str]:
     env.pop("EDGE3C_THREADS", None)
     if threads is not None:
         env["EDGE3C_THREADS"] = threads
-    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    flags = ["-S"] if clean else []
+    res = subprocess.run([sys.executable, *flags, "-c", script], capture_output=True, text=True,
+                         env=env)
     assert res.returncode == 0, res.stderr
     return set(res.stdout.split())
 
 
 def test_no_command_loads_numpy():
-    assert "numpy" not in modules_loaded_by(
-        ("solve", "--config", REFCFG),
-        ("regions", "--config", REFCFG, "--human"),
-        ("turning-points", "--config", REFCFG),
-        ("sweep", "--config", REFCFG, "--param", "device_cpu_hz", "--start", "2 GHz",
-         "--stop", "8 GHz", "--steps", "5", "--baselines", "mec_only,local_only,local_no_cache"),
-        ("verify", "--trials", "600", "--seed", "5"))
+    assert "numpy" not in modules_loaded_by(*config_commands(REFCFG),
+                                            ("verify", "--trials", "600", "--seed", "5"))
 
 
 def test_import_loads_neither_dataclasses_nor_the_pool():
     assert not modules_loaded_by() & {"dataclasses", "inspect", "concurrent.futures", "logging"}
     # nor does a run with more than one worker: verify maps in the calling thread
     assert "concurrent.futures" not in modules_loaded_by(("verify", "--trials", "2"), threads="2")
+
+
+def test_loading_a_config_needs_neither_pathlib_nor_the_warning_machinery():
+    # linecache and tokenize come with the first warning shown
+    commands = [c for config in SHIPPED_CONFIGS for c in config_commands(config)]
+    assert not modules_loaded_by(*commands, clean=True) & {"pathlib", "linecache", "tokenize"}
+
+
+@pytest.mark.parametrize("config", SHIPPED_CONFIGS, ids=lambda path: path.stem)
+def test_shipped_configs_run_with_nothing_on_stderr(config):
+    for argv in config_commands(config):
+        res = run_cli(*argv)
+        assert (res.returncode, res.stderr) == (0, b""), argv
 
 
 def test_bad_thread_env_rejected():
@@ -310,17 +334,32 @@ def test_dead_downlink_prints_valid_json(tmp_path, capsys):
         assert out["routes"]["route3_feasible"] is False
 
 
-@pytest.mark.parametrize("argv", [
+FLOAT_RANGE_COMMANDS = (
     ["solve"], ["regions"], ["turning-points"],
-    ["sweep", "--param", "cache_bits", "--start", "1", "--stop", "2", "--steps", "2"],
-], ids=lambda argv: argv[0])
-def test_task_count_beyond_float_range_rejected(argv, tmp_path, capsys):
-    # the power draws divide by F as a float, and float(10**400) overflows
+    ["sweep", "--param", "cache_bits", "--start", "1", "--stop", "2", "--steps", "2"])
+
+
+FLOAT_RANGE_CASES = {
+    # a task_count case is named by its command alone
+    argv[0] if field == "task_count" else f"{argv[0]}-{field}": (argv, field)
+    for field in ("task_count", "device.cache_bits", "channel.snr_up_db")
+    for argv in FLOAT_RANGE_COMMANDS}
+
+
+@pytest.mark.parametrize("argv, field", FLOAT_RANGE_CASES.values(), ids=FLOAT_RANGE_CASES)
+def test_task_count_beyond_float_range_rejected(argv, field, tmp_path, capsys):
+    # the power draws divide by F as a float, and float(10**400) overflows;
+    # a quantity field is parsed with float() as well
     raw = json.loads((CONFIG_DIR / "reference.json").read_text())
-    raw["task_count"] = 10**400
-    path = tmp_path / "huge_f.json"
+    section, _, name = field.rpartition(".")
+    (raw[section] if section else raw)[name] = 10**400
+    path = tmp_path / "huge.json"
     path.write_text(json.dumps(raw))
     assert main([*argv, "--config", str(path)]) == 1
     out = strict_json(capsys.readouterr().out)
     assert out["error"] == "invalid_config"
-    assert out["violations"] == ["task_count: must be within float range"]
+    assert out["violations"] == [f"{field}: must be within float range"]
+    # a config built in code fails validation the same way
+    with pytest.raises(InvalidConfigError) as info:
+        validate_config(replace_field(build_config(), field, 10**400))
+    assert [str(v) for v in info.value.violations] == out["violations"]

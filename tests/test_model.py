@@ -144,12 +144,6 @@ def test_config_to_dict_leaves_out_absent_overrides():
     assert raw["channel"] == {"gain": 1.0, "noise_psd": 1.0, "snr_down_db": 4.0}
 
 
-def test_override_warning():
-    raw = config_to_dict(build_config())
-    with pytest.warns(UserWarning, match="snr_up_db overrides"):
-        config_from_dict(raw)
-
-
 def test_unknown_and_missing_fields_collected():
     raw = config_to_dict(build_config())
     raw["bogus"] = 1

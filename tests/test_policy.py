@@ -68,8 +68,7 @@ def test_power_bound_is_the_extreme_count_the_budget_rule_accepts(f, k1, k2, bud
     # the power bound on the cheaper route, x2 is the bound
     b2, b3 = (1.0, 2.0) if k1 > k2 else (2.0, 1.0)
     costs = RouteCosts(b2=b2, b3=b3, bu3=b3, bd3=0.0, a1=1.0, a2=1.0, a3=1.0,
-                       k1=k1, k2=k2, route1_feasible=True, route12_feasible=True,
-                       route3_feasible=True)
+                       k1=k1, k2=k2, route1_feasible=True)
     sol = solve_with_costs(f, 0, budget, costs)
     fits = [n for n in range(f + 1) if power_within_budget(k1, k2, n, f - n, budget)]
     assert sol.x1 == 0
