@@ -16,6 +16,7 @@ from edge3c import (
     solve_optimal,
 )
 from edge3c.policy import solve_with_costs
+from edge3c.tradeoff import BASELINE_KINDS
 from conftest import build_config, power_floor_config
 from test_fuzz import fuzz_config, wide_config
 
@@ -210,15 +211,36 @@ def _pinned_answer(config) -> str:
     return repr((sol.x1, sol.x2, sol.x3, repr(sol.b_total_hz), sol.regime.label, sol.binding))
 
 
+def _pinned_configs() -> list:
+    """7,000 configs: sample_config seeds 0-2 x trials 0-999, and 2,000 draws
+    from each fuzz sampler."""
+    configs = [sample_config(seed, trial) for seed in range(3) for trial in range(1000)]
+    fuzz, wide = random.Random(14), random.Random(15)
+    configs += [fuzz_config(fuzz) for _ in range(2000)]
+    configs += [wide_config(wide) for _ in range(2000)]
+    return configs
+
+
 def test_closed_form_answers_are_pinned():
     # binding has no oracle to check it, so its answers, with the counts,
     # the bandwidth and the regime, are pinned on the stratified sampler and
     # on both fuzz samplers
     digest = hashlib.sha256()
-    configs = [sample_config(seed, trial) for seed in range(3) for trial in range(1000)]
-    fuzz, wide = random.Random(14), random.Random(15)
-    configs += [fuzz_config(fuzz) for _ in range(2000)]
-    configs += [wide_config(wide) for _ in range(2000)]
-    for config in configs:
+    for config in _pinned_configs():
         digest.update(_pinned_answer(config).encode() + b"\n")
     assert digest.hexdigest() == "55a34eb3367a0848215e113dfb96a0aef898f4a1d3fbecb6d228d6203fa66306"
+
+
+def test_baseline_answers_are_pinned():
+    # each baseline's counts and total, or its error, on the configs above
+    digest = hashlib.sha256()
+    for config in _pinned_configs():
+        for kind in BASELINE_KINDS:
+            try:
+                sol = baseline_policy(kind, config)
+            except Edge3cError as exc:
+                answer = repr((type(exc).__name__, getattr(exc, "constraint", None), str(exc)))
+            else:
+                answer = repr((sol.x1, sol.x2, sol.x3, repr(sol.b_total_hz)))
+            digest.update(answer.encode() + b"\n")
+    assert digest.hexdigest() == "b3fd7479bdfe8b0ffd8c8df803db90c08b89796d44728f5b0d9086a8e1c5a6cf"
