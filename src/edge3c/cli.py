@@ -18,11 +18,10 @@ import sys
 
 from . import __version__
 from .bandwidth import route_costs
-from .bounds import cache_task_capacity
 from .errors import ConfigParseError, Edge3cError, InvalidConfigError
 from .model import _FIELD_SPECS, load_config
 from .oracle import run_verification
-from .policy import solve_with_costs
+from .policy import _scalars, solve_with_costs
 from .tradeoff import SWEEP_PARAMETERS, SweepSpec, rows_to_csv, sweep, turning_points
 from .units import format_hz, parse_quantity
 
@@ -95,12 +94,15 @@ def _json(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _cmd_solve(args) -> str:
+def _load_and_solve(args) -> tuple:
+    """(F, Q, Pbar), the route costs and the solution of the --config file."""
     config = load_config(args.config)
-    costs = route_costs(config)
-    f = config.task_count
-    q = cache_task_capacity(config.device.cache_bits, config.task.input_remote_bits, f)
-    solution = solve_with_costs(f, q, config.device.avg_power_w, costs)
+    scalars, costs = _scalars(config), route_costs(config)
+    return scalars, costs, solve_with_costs(*scalars, costs)
+
+
+def _cmd_solve(args) -> str:
+    _, costs, solution = _load_and_solve(args)
     payload = solution.to_dict()
     payload["routes"] = costs.to_dict()
     if args.human:
@@ -125,11 +127,7 @@ def _cmd_sweep(args) -> str:
 
 
 def _cmd_regions(args) -> str:
-    config = load_config(args.config)
-    costs = route_costs(config)
-    f = config.task_count
-    q = cache_task_capacity(config.device.cache_bits, config.task.input_remote_bits, f)
-    solution = solve_with_costs(f, q, config.device.avg_power_w, costs)
+    (f, q, _), costs, solution = _load_and_solve(args)
     regime = solution.regime
     payload = {
         "regime": regime.label,
@@ -137,7 +135,7 @@ def _cmd_regions(args) -> str:
         "b3_gt_b2": regime.b3_gt_b2,
         "detail": regime.detail,
         "binding": list(solution.binding),
-        "task_count": config.task_count,
+        "task_count": f,
         "cache_capacity_tasks": q,
         "routes": costs.to_dict(),
     }

@@ -182,7 +182,7 @@ def run_verification(trials: int = 1000, seed: int = 0,
     ``trials`` must lie in [1, MAX_TRIALS] and ``seed`` must be >= 0; both
     are checked before any config is drawn.
     """
-    from .policy import solve_with_costs
+    from .policy import _scalars, solve_with_costs
     from .sampling import sample_config
 
     if trials < 1:
@@ -195,9 +195,7 @@ def run_verification(trials: int = 1000, seed: int = 0,
     def one(trial: int) -> tuple[float, str]:
         config = sample_config(seed, trial)  # already validated
         costs = route_costs(config)
-        f = config.task_count
-        q = cache_task_capacity(config.device.cache_bits, config.task.input_remote_bits, f)
-        solved = solve_with_costs(f, q, config.device.avg_power_w, costs)
+        solved = solve_with_costs(*_scalars(config), costs)
         reference = enumerate_optimal(config, costs=costs)
         return relative_error(solved.b_total_hz, reference.b_total_hz), solved.regime.label
 

@@ -58,7 +58,7 @@ import math
 from typing import NamedTuple
 
 from .bandwidth import RouteCosts, route_costs
-from .bounds import REL_EPS, cache_task_capacity, power_within_budget, within_budget
+from .bounds import REL_EPS, cache_task_capacity, power_within_budget
 from .errors import InfeasibleError, InvalidFieldError
 from .model import SystemConfig, validate_config
 
@@ -111,19 +111,19 @@ class PolicySolution(NamedTuple):
         }
 
 
-def _power_floor(f: int, qf: int, costs: RouteCosts) -> float:
-    """Minimum total power over mixes that respect route feasibility and cache."""
+def _floor_fits(f: int, qf: int, avg_power_w: float, costs: RouteCosts) -> bool:
+    """Whether the least-power mix that respects route feasibility and the
+    cache fits the budget. Its local count is F, or 0 where offloading is
+    allowed and draws less, or Q when route 3 must serve every task the cache
+    (route 1) does not and offloading draws more."""
     k1, k2 = costs.k1, costs.k2
-    r2, r3 = costs.route12_feasible, costs.route3_feasible
-    if r2 and r3:
-        return f * min(k1, k2)
-    if r2:
-        return f * k1
-    if r3:
-        if k2 <= k1:
-            return f * k2
-        return k1 * qf + k2 * (f - qf)
-    return f * k1
+    if not costs.route3_feasible:
+        n = f
+    elif costs.route12_feasible:
+        n = f if k1 <= k2 else 0
+    else:
+        n = qf if k2 > k1 else 0
+    return power_within_budget(k1, k2, n, f - n, avg_power_w)
 
 
 def _power_bound(f: int, k1: float, k2: float, avg_power_w: float) -> int | None:
@@ -160,7 +160,7 @@ def _power_key(f: int, q: int, avg_power_w: float, costs: RouteCosts) -> tuple:
     floor fits, the power bound, and whether all-offload and all-local fit.
     Two budgets with equal keys give the same solution and baselines."""
     k1, k2 = costs.k1, costs.k2
-    return (within_budget(_power_floor(f, q if costs.route1_feasible else 0, costs), avg_power_w),
+    return (_floor_fits(f, q if costs.route1_feasible else 0, avg_power_w, costs),
             _power_bound(f, k1, k2, avg_power_w),
             power_within_budget(k1, k2, 0, f, avg_power_w),
             power_within_budget(k1, k2, f, 0, avg_power_w))
@@ -180,8 +180,7 @@ def solve_with_costs(f: int, q: int, avg_power_w: float, costs: RouteCosts) -> P
     reachable = qf + (f if r2 else 0) + (f if r3 else 0)
     if reachable < f:
         raise InfeasibleError("latency", "feasible routes cannot cover the task set")
-    pmin = _power_floor(f, qf, costs)
-    if not within_budget(pmin, avg_power_w):
+    if not _floor_fits(f, qf, avg_power_w, costs):
         raise InfeasibleError("power", "minimum achievable power exceeds the budget")
 
     k1_gt = k1 > k2
@@ -236,12 +235,18 @@ def solve_with_costs(f: int, q: int, avg_power_w: float, costs: RouteCosts) -> P
                           regime=regime, binding=binding)
 
 
+def _scalars(config: SystemConfig) -> tuple[int, int, float]:
+    """(F, Q, Pbar) of a config: the three scalars solve_with_costs and
+    baseline_counts read besides the route costs."""
+    f = config.task_count
+    return f, cache_task_capacity(config.device.cache_bits, config.task.input_remote_bits, f), \
+        config.device.avg_power_w
+
+
 def solve_optimal(config: SystemConfig) -> PolicySolution:
     """Closed-form bandwidth-minimal route counts for the task set."""
     validate_config(config)
-    f = config.task_count
-    q = cache_task_capacity(config.device.cache_bits, config.task.input_remote_bits, f)
-    return solve_with_costs(f, q, config.device.avg_power_w, route_costs(config))
+    return solve_with_costs(*_scalars(config), route_costs(config))
 
 
 def classify_regime(config: SystemConfig) -> Regime:
@@ -250,33 +255,27 @@ def classify_regime(config: SystemConfig) -> Regime:
 
 
 def baseline_counts(kind: str, f: int, q: int, avg_power_w: float,
-                    costs: RouteCosts) -> tuple[int, int, int, float]:
+                    costs: RouteCosts) -> tuple[int, int, int, float] | InfeasibleError:
     """(x1, x2, x3, total bandwidth) of a baseline policy for a config already
     validated, from the same three scalars as solve_with_costs (F, the cache
-    capacity Q in tasks, Pbar) and the route costs; raises InfeasibleError
-    when the baseline cannot serve the task set."""
+    capacity Q in tasks, Pbar) and the route costs. When the baseline cannot
+    serve the task set, the InfeasibleError is returned, not raised; an
+    unknown kind raises InvalidFieldError."""
     if kind == "mec_only":
         if not costs.route3_feasible:
-            raise InfeasibleError("latency", "offload route cannot meet the deadline")
+            return InfeasibleError("latency", "offload route cannot meet the deadline")
         if not power_within_budget(costs.k1, costs.k2, 0, f, avg_power_w):
-            raise InfeasibleError("power", "offloading every task exceeds the power budget")
+            return InfeasibleError("power", "offloading every task exceeds the power budget")
         return 0, 0, f, costs.b3 * f
-    if kind == "local_only":
-        x1 = q if costs.route1_feasible else 0
+    if kind in ("local_only", "local_no_cache"):
+        # x1 < F unless route 1 serves, so x2 = 0 needs no check of route 1
+        x1 = q if kind == "local_only" and costs.route1_feasible else 0
         x2 = f - x1
-        if x2 > 0 and not costs.route12_feasible:
-            raise InfeasibleError("latency", "download-and-compute route cannot meet the deadline")
-        if x2 == 0 and not costs.route1_feasible:
-            raise InfeasibleError("latency", "local compute cannot meet the deadline")
+        if x2 and not costs.route12_feasible:
+            return InfeasibleError("latency", "download-and-compute route cannot meet the deadline")
         if not power_within_budget(costs.k1, costs.k2, f, 0, avg_power_w):
-            raise InfeasibleError("power", "computing every task locally exceeds the power budget")
+            return InfeasibleError("power", "computing every task locally exceeds the power budget")
         return x1, x2, 0, costs.b2 * x2 if x2 else 0.0
-    if kind == "local_no_cache":
-        if not costs.route12_feasible:
-            raise InfeasibleError("latency", "download-and-compute route cannot meet the deadline")
-        if not power_within_budget(costs.k1, costs.k2, f, 0, avg_power_w):
-            raise InfeasibleError("power", "computing every task locally exceeds the power budget")
-        return 0, f, 0, costs.b2 * f
     raise InvalidFieldError("kind", f"unknown baseline {kind!r}")
 
 
@@ -289,10 +288,11 @@ def baseline_policy(kind: str, config: SystemConfig) -> PolicySolution:
     optimum is infeasible raises too."""
     validate_config(config)
     costs = route_costs(config)
-    f = config.task_count
-    q = cache_task_capacity(config.device.cache_bits, config.task.input_remote_bits, f)
-    scalars = (f, q, config.device.avg_power_w)
-    x1, x2, x3, b_total = baseline_counts(kind, *scalars, costs)
+    scalars = _scalars(config)
+    counts = baseline_counts(kind, *scalars, costs)
+    if isinstance(counts, InfeasibleError):
+        raise counts
+    x1, x2, x3, b_total = counts
     return PolicySolution(x1=x1, x2=x2, x3=x3, b_total_hz=b_total,
                           b_avg_hz=b_total / config.task_count,
                           regime=solve_with_costs(*scalars, costs).regime, binding=())

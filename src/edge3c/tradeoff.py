@@ -285,10 +285,9 @@ def _solve_point(f: int, q: int, avg_power_w: float, costs: RouteCosts,
     except InfeasibleError as exc:
         return None, exc.constraint, baselines
     for kind in kinds:
-        try:
-            baselines[kind] = baseline_counts(kind, f, q, avg_power_w, costs)[3]
-        except InfeasibleError:
-            pass
+        counts = baseline_counts(kind, f, q, avg_power_w, costs)
+        if not isinstance(counts, InfeasibleError):
+            baselines[kind] = counts[3]
     return solution, None, baselines
 
 
