@@ -117,7 +117,8 @@ def enumerate_per_task(config: SystemConfig, limit: int = 10) -> OracleSolution:
     """Exhaustive minimum over all 3^F per-task route assignments.
 
     Validates the reduction from per-task decisions to counts: constraints are
-    evaluated on the per-task cache/local flag vectors, not on counts.
+    evaluated task by task, on sums of each task's cache bits and power draw
+    in task order, not on counts.
     """
     validate_config(config)
     f = config.task_count
@@ -134,20 +135,23 @@ def enumerate_per_task(config: SystemConfig, limit: int = 10) -> OracleSolution:
     if not allowed:
         raise InfeasibleError("latency", "no route can meet the deadline")
 
-    bw = {1: 0.0, 2: costs.b2, 3: costs.b3}
+    # a task's cache bits, power draw and bandwidth on its route: a cached
+    # task holds its remote input, and a cached or downloaded one computes
+    # locally
+    cache = {1: t.input_remote_bits, 2: 0.0, 3: 0.0}.__getitem__
+    power = {1: costs.k1, 2: costs.k1, 3: costs.k2}.__getitem__
+    bw = {1: 0.0, 2: costs.b2, 3: costs.b3}.__getitem__
     best = math.inf
     best_counts = None
     tied: set[tuple[int, int, int]] = set()
     found_any = False
     for routes in itertools.product(allowed, repeat=f):
-        c = [1 if r == 1 else 0 for r in routes]
-        d = [1 if r in (1, 2) else 0 for r in routes]
-        if not within_budget(sum(ci * t.input_remote_bits for ci in c), cache_bits):
+        if not within_budget(sum(map(cache, routes)), cache_bits):
             continue
-        if not within_budget(sum(costs.k1 if di else costs.k2 for di in d), budget):
+        if not within_budget(sum(map(power, routes)), budget):
             continue
         found_any = True
-        total = sum(bw[r] for r in routes)
+        total = sum(map(bw, routes))
         counts = (routes.count(1), routes.count(2), routes.count(3))
         tol = TIE_REL * max(1.0, abs(best)) if math.isfinite(best) else 0.0
         if total < best - tol:
