@@ -28,6 +28,7 @@ guards near-singular denominators just before true infeasibility.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 from .errors import DegenerateChannelError, InvalidFieldError
@@ -39,6 +40,8 @@ from .model import (
 )
 
 DEFAULT_BANDWIDTH_CAP = 1e12  # Hz
+
+_NORMAL_MIN = sys.float_info.min  # the least positive normal float
 
 
 class RouteCosts(NamedTuple):
@@ -101,7 +104,10 @@ def kkt_split(a1: float, a2: float, a3: float) -> tuple[float, float]:
         raise InvalidFieldError("a3", "must be > 0")
     if a1 + a2 == 0:
         return 0.0, 0.0
-    g = math.sqrt(a1 * a2)
+    g = a1 * a2
+    # sqrt(a1*a2); where the product leaves the normal float range, the
+    # product of the roots, so that g neither overflows nor loses precision
+    g = math.sqrt(g) if _NORMAL_MIN <= g < math.inf else math.sqrt(a1) * math.sqrt(a2)
     return (a1 + g) / a3, (a2 + g) / a3
 
 

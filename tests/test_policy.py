@@ -228,7 +228,7 @@ def test_closed_form_answers_are_pinned():
     digest = hashlib.sha256()
     for config in _pinned_configs():
         digest.update(_pinned_answer(config).encode() + b"\n")
-    assert digest.hexdigest() == "55a34eb3367a0848215e113dfb96a0aef898f4a1d3fbecb6d228d6203fa66306"
+    assert digest.hexdigest() == "b8d39e256b09b6359b565640808e05b9f391245755fc043cd0047853dcd0b3f6"
 
 
 def test_baseline_answers_are_pinned():
@@ -243,4 +243,4 @@ def test_baseline_answers_are_pinned():
             else:
                 answer = repr((sol.x1, sol.x2, sol.x3, repr(sol.b_total_hz)))
             digest.update(answer.encode() + b"\n")
-    assert digest.hexdigest() == "b3fd7479bdfe8b0ffd8c8df803db90c08b89796d44728f5b0d9086a8e1c5a6cf"
+    assert digest.hexdigest() == "079000109b2cae9785ac0a76bb2db7ea6f8ef9da8386d4ca4dba82976ec7b673"
