@@ -116,9 +116,10 @@ def route_latency(route: int, config: SystemConfig,
     """End-to-end latency of one task on the given route at the given bandwidths.
 
     Transfer terms with zero payload contribute 0 regardless of bandwidth;
-    a positive payload requires a positive bandwidth on its leg. Where the
-    leg's rate ``bw * se`` underflows to 0 with bits to move, the transfer
-    takes forever: the latency is ``math.inf``, as in ``tradeoff._div``.
+    a positive payload requires a positive bandwidth on its leg. The bits
+    are divided by the spectral efficiency and then by the bandwidth, so no
+    rate ``bw * se`` underflows; a transfer time past float range, as over a
+    subnormal bandwidth, is ``math.inf``.
     """
     t = config.task
 
@@ -129,8 +130,7 @@ def route_latency(route: int, config: SystemConfig,
             raise DegenerateChannelError(f"{leg} spectral efficiency is 0 with {bits} bits to move")
         if bw <= 0:
             raise InvalidFieldError(f"{leg}_hz", "must be > 0 when there are bits to move")
-        rate = bw * se
-        return bits / rate if rate > 0 else math.inf
+        return bits / se / bw
 
     if route == 1:
         return local_compute_latency(config)

@@ -118,8 +118,9 @@ def test_route_latency_zero_payload_terms():
 
 
 def test_route_latency_is_infinite_where_the_rate_underflows():
-    # -10 dB gives SE = log2(1.1) < 0.5, so the least subnormal bandwidth
-    # times SE rounds to a rate of 0 with one bit to move on each leg
+    # -10 dB gives SE = log2(1.1) < 0.5, so the rate of the least subnormal
+    # bandwidth rounds to 0, and one bit on each leg takes longer than the
+    # largest float
     cfg = build_config(output_bits=1.0, snr_up_db=-10.0, snr_down_db=-10.0)
     tiny = math.ulp(0.0)
     assert route_latency(2, cfg, downlink_hz=tiny) == math.inf
