@@ -28,7 +28,6 @@ guards near-singular denominators just before true infeasibility.
 from __future__ import annotations
 
 import math
-import sys
 from typing import NamedTuple
 
 from .errors import DegenerateChannelError, InvalidFieldError
@@ -40,8 +39,6 @@ from .model import (
 )
 
 DEFAULT_BANDWIDTH_CAP = 1e12  # Hz
-
-_NORMAL_MIN = sys.float_info.min  # the least positive normal float
 
 
 class RouteCosts(NamedTuple):
@@ -104,10 +101,10 @@ def kkt_split(a1: float, a2: float, a3: float) -> tuple[float, float]:
         raise InvalidFieldError("a3", "must be > 0")
     if a1 + a2 == 0:
         return 0.0, 0.0
+    # sqrt(a1*a2), or the product of the roots where a1*a2 is not a normal
+    # float (at least 2**-1022 and finite): it would overflow or lose bits
     g = a1 * a2
-    # sqrt(a1*a2); where the product leaves the normal float range, the
-    # product of the roots, so that g neither overflows nor loses precision
-    g = math.sqrt(g) if _NORMAL_MIN <= g < math.inf else math.sqrt(a1) * math.sqrt(a2)
+    g = math.sqrt(g) if 2.0 ** -1022 <= g < math.inf else math.sqrt(a1) * math.sqrt(a2)
     return (a1 + g) / a3, (a2 + g) / a3
 
 

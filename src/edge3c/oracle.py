@@ -117,8 +117,7 @@ def enumerate_per_task(config: SystemConfig, limit: int = 10) -> OracleSolution:
     """Exhaustive minimum over all 3^F per-task route assignments.
 
     Validates the reduction from per-task decisions to counts: constraints are
-    evaluated task by task, on sums of each task's cache bits and power draw
-    in task order, not on counts.
+    evaluated on sums over the tasks in task order, not on counts.
     """
     validate_config(config)
     f = config.task_count
@@ -135,9 +134,8 @@ def enumerate_per_task(config: SystemConfig, limit: int = 10) -> OracleSolution:
     if not allowed:
         raise InfeasibleError("latency", "no route can meet the deadline")
 
-    # a task's cache bits, power draw and bandwidth on its route: a cached
-    # task holds its remote input, and a cached or downloaded one computes
-    # locally
+    # a task's cache bits, power draw and bandwidth on its route: a cached task
+    # holds its remote input, and a cached or downloaded one computes locally
     cache = {1: t.input_remote_bits, 2: 0.0, 3: 0.0}.__getitem__
     power = {1: costs.k1, 2: costs.k1, 3: costs.k2}.__getitem__
     bw = {1: 0.0, 2: costs.b2, 3: costs.b3}.__getitem__

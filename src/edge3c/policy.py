@@ -113,9 +113,8 @@ class PolicySolution(NamedTuple):
 
 def _floor_fits(f: int, qf: int, avg_power_w: float, costs: RouteCosts) -> bool:
     """Whether the least-power mix that respects route feasibility and the
-    cache fits the budget. Its local count is F, or 0 where offloading is
-    allowed and draws less, or Q when route 3 must serve every task the cache
-    (route 1) does not and offloading draws more."""
+    cache fits the budget. Its local count is F, or 0 where offloading draws
+    less, or Q where route 3 serves all but the cached tasks and draws more."""
     k1, k2 = costs.k1, costs.k2
     if not costs.route3_feasible:
         n = f
@@ -239,8 +238,8 @@ def _scalars(config: SystemConfig) -> tuple[int, int, float]:
     """(F, Q, Pbar) of a config: the three scalars solve_with_costs and
     baseline_counts read besides the route costs."""
     f = config.task_count
-    return f, cache_task_capacity(config.device.cache_bits, config.task.input_remote_bits, f), \
-        config.device.avg_power_w
+    q = cache_task_capacity(config.device.cache_bits, config.task.input_remote_bits, f)
+    return f, q, config.device.avg_power_w
 
 
 def solve_optimal(config: SystemConfig) -> PolicySolution:
