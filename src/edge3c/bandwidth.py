@@ -101,10 +101,10 @@ def kkt_split(a1: float, a2: float, a3: float) -> tuple[float, float]:
         raise InvalidFieldError("a3", "must be > 0")
     if a1 + a2 == 0:
         return 0.0, 0.0
-    # sqrt(a1*a2), or the product of the roots where a1*a2 is not a normal
-    # float (at least 2**-1022 and finite): it would overflow or lose bits
+    # sqrt(a1*a2), but the product of the roots where a1*a2 would overflow or
+    # lose bits: outside the normal floats, 2**-1022 to 1.7976931348623157e308
     g = a1 * a2
-    g = math.sqrt(g) if 2.0 ** -1022 <= g < math.inf else math.sqrt(a1) * math.sqrt(a2)
+    g = math.sqrt(g) if 2.0 ** -1022 <= g <= 1.7976931348623157e308 else math.sqrt(a1) * math.sqrt(a2)
     return (a1 + g) / a3, (a2 + g) / a3
 
 

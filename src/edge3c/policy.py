@@ -257,9 +257,8 @@ def baseline_counts(kind: str, f: int, q: int, avg_power_w: float,
                     costs: RouteCosts) -> tuple[int, int, int, float] | InfeasibleError:
     """(x1, x2, x3, total bandwidth) of a baseline policy for a config already
     validated, from the same three scalars as solve_with_costs (F, the cache
-    capacity Q in tasks, Pbar) and the route costs. When the baseline cannot
-    serve the task set, the InfeasibleError is returned, not raised; an
-    unknown kind raises InvalidFieldError."""
+    capacity Q in tasks, Pbar) and the route costs, or the InfeasibleError,
+    returned, not raised, when it cannot serve the task set."""
     if kind == "mec_only":
         if not costs.route3_feasible:
             return InfeasibleError("latency", "offload route cannot meet the deadline")

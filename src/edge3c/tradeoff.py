@@ -272,7 +272,8 @@ def sweep(config: SystemConfig, spec: SweepSpec) -> list[SweepRow]:
             if key is not None:
                 solved[key] = hit
         solution, error, baselines = hit
-        rows.append(SweepRow(param, value, solution, error, dict(baselines)))
+        rows.append(SweepRow(param, value, solution, error,
+                             baselines if key is None else dict(baselines)))
     return rows
 
 
