@@ -32,6 +32,9 @@ from .units import parse_quantity
 
 _LN2 = math.log(2.0)
 
+#: largest config file load_config reads; the shipped configs take about 550 bytes
+_MAX_CONFIG_BYTES = 1 << 20
+
 
 class TaskSpec(NamedTuple):
     input_local_bits: float        # generated at the device
@@ -346,15 +349,18 @@ def config_from_dict(raw: dict) -> SystemConfig:
 
 
 def load_config(path) -> SystemConfig:
-    """Load, unit-normalize and validate a JSON config file."""
+    """Load, unit-normalize and validate a UTF-8 JSON config file. One that
+    cannot be read, or decoded, or is over the cap raises ConfigParseError."""
     try:
-        with open(path) as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read(_MAX_CONFIG_BYTES + 1)
     except OSError as exc:
         raise ConfigParseError(f"cannot read {path}: {exc}") from exc
+    if len(data) > _MAX_CONFIG_BYTES:
+        raise ConfigParseError(f"{path}: larger than {_MAX_CONFIG_BYTES} bytes")
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+        raw = json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
         raise ConfigParseError(f"{path}: {exc}") from exc
     return config_from_dict(raw)
 

@@ -37,6 +37,13 @@ minimized over the remaining routes; coverage is checked first (latency), then
 the minimum achievable power (power), so infeasibility is reported with the
 constraint that actually bites.
 
+A solve is facts, decision and read-out: ``_facts`` gathers every discrete
+fact that the optimum and the baselines read, ``_decide`` turns them into the
+counts, the regime and ``binding`` (or the infeasible constraint), and one
+read-out, x2*B2 + x3*B3, gives the bandwidth of the optimum and of each
+baseline. B2 and B3 enter only there and in B3 > B2, so a sweep decides once
+per distinct facts.
+
 Configs classify into nine regimes: the sign of k1 - k2, the ordering of B2
 and B3 (ties map to the B3 <= B2 branch), and where the power bound sits
 relative to the cache capacity and F.
@@ -111,18 +118,32 @@ class PolicySolution(NamedTuple):
         }
 
 
-def _floor_fits(f: int, qf: int, avg_power_w: float, costs: RouteCosts) -> bool:
-    """Whether the least-power mix that respects route feasibility and the
-    cache fits the budget. Its local count is F, or 0 where offloading draws
-    less, or Q where route 3 serves all but the cached tasks and draws more."""
+class _Decision(NamedTuple):
+    """A solve's answer without its bandwidth."""
+
+    x1: int
+    x2: int
+    x3: int
+    regime: Regime
+    binding: tuple[str, ...]
+
+
+def _facts(f: int, q: int, avg_power_w: float, costs: RouteCosts) -> tuple:
+    """Every discrete fact that the optimum and the three baselines read:
+    qf (Q, or 0 when route 1 misses the deadline), the three route flags,
+    whether the least-power mix fits (its local count is F, or 0 where
+    offloading draws less, or Q where route 3 serves all but the cached tasks
+    and draws more), the power bound, k1 > k2, B3 > B2 (a route that misses
+    the deadline costs infinity), and whether all-offload and all-local fit."""
     k1, k2 = costs.k1, costs.k2
-    if not costs.route3_feasible:
-        n = f
-    elif costs.route12_feasible:
-        n = f if k1 <= k2 else 0
-    else:
-        n = qf if k2 > k1 else 0
-    return power_within_budget(k1, k2, n, f - n, avg_power_w)
+    r1, r2, r3 = costs.route1_feasible, costs.route12_feasible, costs.route3_feasible
+    qf = q if r1 else 0
+    n = f if not r3 else ((f if k1 <= k2 else 0) if r2 else (qf if k2 > k1 else 0))
+    return (qf, r1, r2, r3, power_within_budget(k1, k2, n, f - n, avg_power_w),
+            _power_bound(f, k1, k2, avg_power_w), k1 > k2,
+            r2 and (not r3 or costs.b3 > costs.b2),
+            power_within_budget(k1, k2, 0, f, avg_power_w),
+            power_within_budget(k1, k2, f, 0, avg_power_w))
 
 
 def _power_bound(f: int, k1: float, k2: float, avg_power_w: float) -> int | None:
@@ -139,6 +160,8 @@ def _power_bound(f: int, k1: float, k2: float, avg_power_w: float) -> int | None
         return None
     k1_gt = k1 > k2
     u = (avg_power_w * (1.0 + REL_EPS) - f * k2) / (k1 - k2)
+    if math.isnan(u):  # an infinite window less an infinite F*k2: every count fits
+        u = math.inf if k1_gt else -math.inf
     n = 0 if u <= 0 else (f if u >= f else (math.floor(u) if k1_gt else math.ceil(u)))
     if k1_gt:
         if n < f and power_within_budget(k1, k2, n + 1, f - n - 1, avg_power_w):
@@ -153,16 +176,59 @@ def _power_bound(f: int, k1: float, k2: float, avg_power_w: float) -> int | None
     return n
 
 
-def _power_key(f: int, q: int, avg_power_w: float, costs: RouteCosts) -> tuple:
-    """Every fact solve_with_costs and the three baselines read from the
-    power budget Pbar, at fixed F, Q and route costs: whether the power
-    floor fits, the power bound, and whether all-offload and all-local fit.
-    Two budgets with equal keys give the same solution and baselines."""
-    k1, k2 = costs.k1, costs.k2
-    return (_floor_fits(f, q if costs.route1_feasible else 0, avg_power_w, costs),
-            _power_bound(f, k1, k2, avg_power_w),
-            power_within_budget(k1, k2, 0, f, avg_power_w),
-            power_within_budget(k1, k2, f, 0, avg_power_w))
+def _decide(f: int, facts: tuple) -> _Decision | InfeasibleError:
+    """The optimum's decision at F from its ``_facts``, or the InfeasibleError,
+    returned, not raised: latency when the feasible routes cannot cover the
+    task set, else power when the power floor does not fit."""
+    qf, r1, r2, r3, floor_fits, bound, k1_gt, b3_gt_b2 = facts[:8]
+    if qf + (f if r2 else 0) + (f if r3 else 0) < f:
+        return InfeasibleError("latency", "feasible routes cannot cover the task set")
+    if not floor_fits:
+        return InfeasibleError("power", "minimum achievable power exceeds the budget")
+
+    # bound is the power budget's bound on x1 + x2, in [0, F]: the cap U when
+    # k1 > k2, the floor L when k1 < k2, None when k1 == k2
+    tightest = min(qf, bound) if k1_gt else qf  # the tightest bound on x1; Q <= F always holds
+    x1 = tightest if r3 else qf  # without route 3: route 2, or route 1 alone with Q = F
+    if not r3:
+        x2 = f - x1
+    elif not r2:
+        x2 = 0
+    elif k1_gt:
+        x2 = bound - x1 if b3_gt_b2 else 0
+    else:
+        x2 = f - x1 if b3_gt_b2 else max(0, (bound or 0) - x1)
+    x3 = f - x1 - x2
+
+    if not k1_gt:
+        detail = "local-always" if b3_gt_b2 else "forced-local" if x2 > 0 else "mec-unconstrained"
+    elif bound >= f:
+        detail = "power-ample"
+    elif bound <= qf:
+        detail = "power-limited"
+    else:
+        detail = "cache-then-power" if b3_gt_b2 else "cache-limited"
+
+    binding = tuple(name for name, holds in (
+        ("cache", qf == tightest),
+        ("power", (bound == tightest or (b3_gt_b2 and r2 and r3 and bound < f)) if k1_gt
+         else x2 > 0),
+        ("tasks", f == tightest),
+        ("latency", not (r1 and r2 and r3)),
+    ) if holds)
+    return _Decision(x1, x2, x3, _REGIME_BY_KEY[(k1_gt, b3_gt_b2, detail)], binding)
+
+
+def _bandwidth(x2: int, x3: int, costs: RouteCosts) -> float:
+    """Total bandwidth of x2 downloads and x3 offloads: the one read-out of
+    B2 and B3, for the optimum and the baselines alike."""
+    return (costs.b2 * x2 if x2 else 0.0) + (costs.b3 * x3 if x3 else 0.0)
+
+
+def _solution(f: int, decision: _Decision, costs: RouteCosts) -> PolicySolution:
+    x1, x2, x3, regime, binding = decision
+    b_total = _bandwidth(x2, x3, costs)
+    return PolicySolution(x1, x2, x3, b_total, b_total / f, regime, binding)
 
 
 def solve_with_costs(f: int, q: int, avg_power_w: float, costs: RouteCosts) -> PolicySolution:
@@ -171,72 +237,15 @@ def solve_with_costs(f: int, q: int, avg_power_w: float, costs: RouteCosts) -> P
     Q in tasks (``bounds.cache_task_capacity`` of the cache size C, the
     remote input size I_remote and F) and the power budget Pbar. A sweep
     point passes its swept value in place of the config's own."""
-    k1, k2 = costs.k1, costs.k2
-    r2, r3 = costs.route12_feasible, costs.route3_feasible
-
-    qf = q if costs.route1_feasible else 0
-
-    reachable = qf + (f if r2 else 0) + (f if r3 else 0)
-    if reachable < f:
-        raise InfeasibleError("latency", "feasible routes cannot cover the task set")
-    if not _floor_fits(f, qf, avg_power_w, costs):
-        raise InfeasibleError("power", "minimum achievable power exceeds the budget")
-
-    k1_gt = k1 > k2
-    # the power budget's bound on x1 + x2: the cap U when k1 > k2, else the floor L
-    bound = _power_bound(f, k1, k2, avg_power_w)
-    upper, lower = (bound, 0) if k1_gt else (None, bound or 0)
-
-    b2_eff = costs.b2 if r2 else float("inf")
-    b3_eff = costs.b3 if r3 else float("inf")
-    b3_gt_b2 = b3_eff > b2_eff
-
-    # the tightest bound on x1; Q <= F always holds
-    tightest = min(qf, upper) if k1_gt else qf
-    if r2 and r3:
-        x1 = tightest
-        if k1_gt:
-            x2 = max(0, min(f, upper) - x1) if b3_gt_b2 else 0
-        else:
-            x2 = (f - x1) if b3_gt_b2 else max(0, lower - x1)
-    elif r3:
-        x1 = tightest
-        x2 = 0
-    else:  # route 2 alone, or route 1 alone with Q = F
-        x1 = qf
-        x2 = f - x1
-    x3 = f - x1 - x2
-
-    if k1_gt:
-        if upper < f and upper <= qf:
-            detail = "power-limited"
-        elif upper < f:
-            detail = "cache-then-power" if b3_gt_b2 else "cache-limited"
-        else:
-            detail = "power-ample"
-    else:
-        if b3_gt_b2:
-            detail = "local-always"
-        else:
-            detail = "forced-local" if x2 > 0 else "mec-unconstrained"
-    regime = _REGIME_BY_KEY[(k1_gt, b3_gt_b2, detail)]
-
-    binding = tuple(name for name, holds in (
-        ("cache", qf == tightest),
-        ("power", (upper == tightest or (b3_gt_b2 and r2 and r3 and upper < f)) if k1_gt
-         else x2 > 0),
-        ("tasks", f == tightest),
-        ("latency", not (costs.route1_feasible and r2 and r3)),
-    ) if holds)
-
-    b_total = (costs.b2 * x2 if x2 else 0.0) + (costs.b3 * x3 if x3 else 0.0)
-    return PolicySolution(x1=x1, x2=x2, x3=x3, b_total_hz=b_total, b_avg_hz=b_total / f,
-                          regime=regime, binding=binding)
+    decision = _decide(f, _facts(f, q, avg_power_w, costs))
+    if isinstance(decision, InfeasibleError):
+        raise decision
+    return _solution(f, decision, costs)
 
 
 def _scalars(config: SystemConfig) -> tuple[int, int, float]:
     """(F, Q, Pbar) of a config: the three scalars solve_with_costs and
-    baseline_counts read besides the route costs."""
+    ``_facts`` read besides the route costs."""
     f = config.task_count
     q = cache_task_capacity(config.device.cache_bits, config.task.input_remote_bits, f)
     return f, q, config.device.avg_power_w
@@ -253,27 +262,27 @@ def classify_regime(config: SystemConfig) -> Regime:
     return solve_optimal(config).regime
 
 
-def baseline_counts(kind: str, f: int, q: int, avg_power_w: float,
-                    costs: RouteCosts) -> tuple[int, int, int, float] | InfeasibleError:
-    """(x1, x2, x3, total bandwidth) of a baseline policy for a config already
-    validated, from the same three scalars as solve_with_costs (F, the cache
-    capacity Q in tasks, Pbar) and the route costs, or the InfeasibleError,
-    returned, not raised, when it cannot serve the task set."""
+def baseline_counts(kind: str, f: int, facts: tuple) -> tuple[int, int, int] | InfeasibleError:
+    """(x1, x2, x3) of a baseline policy at F, from the optimum's ``_facts``,
+    or the InfeasibleError, returned, not raised, when it cannot serve the
+    task set."""
+    qf, _, r2, r3 = facts[:4]
+    offload_fits, local_fits = facts[8:]
     if kind == "mec_only":
-        if not costs.route3_feasible:
+        if not r3:
             return InfeasibleError("latency", "offload route cannot meet the deadline")
-        if not power_within_budget(costs.k1, costs.k2, 0, f, avg_power_w):
+        if not offload_fits:
             return InfeasibleError("power", "offloading every task exceeds the power budget")
-        return 0, 0, f, costs.b3 * f
+        return 0, 0, f
     if kind in ("local_only", "local_no_cache"):
         # x1 < F unless route 1 serves, so x2 = 0 needs no check of route 1
-        x1 = q if kind == "local_only" and costs.route1_feasible else 0
+        x1 = qf if kind == "local_only" else 0
         x2 = f - x1
-        if x2 and not costs.route12_feasible:
+        if x2 and not r2:
             return InfeasibleError("latency", "download-and-compute route cannot meet the deadline")
-        if not power_within_budget(costs.k1, costs.k2, f, 0, avg_power_w):
+        if not local_fits:
             return InfeasibleError("power", "computing every task locally exceeds the power budget")
-        return x1, x2, 0, costs.b2 * x2 if x2 else 0.0
+        return x1, x2, 0
     raise InvalidFieldError("kind", f"unknown baseline {kind!r}")
 
 
@@ -286,11 +295,10 @@ def baseline_policy(kind: str, config: SystemConfig) -> PolicySolution:
     optimum is infeasible raises too."""
     validate_config(config)
     costs = route_costs(config)
-    scalars = _scalars(config)
-    counts = baseline_counts(kind, *scalars, costs)
-    if isinstance(counts, InfeasibleError):
-        raise counts
-    x1, x2, x3, b_total = counts
-    return PolicySolution(x1=x1, x2=x2, x3=x3, b_total_hz=b_total,
-                          b_avg_hz=b_total / config.task_count,
-                          regime=solve_with_costs(*scalars, costs).regime, binding=())
+    f, q, avg_power_w = _scalars(config)
+    facts = _facts(f, q, avg_power_w, costs)
+    counts, decision = baseline_counts(kind, f, facts), _decide(f, facts)
+    for outcome in (counts, decision):  # the baseline's error first
+        if isinstance(outcome, InfeasibleError):
+            raise outcome
+    return _solution(f, _Decision(*counts, decision.regime, ()), costs)

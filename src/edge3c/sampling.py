@@ -103,7 +103,7 @@ def _seed_pool(seed: int) -> tuple[tuple[int, ...], int]:
 
 class _Pcg64:
     """numpy's ``Generator(PCG64(SeedSequence(entropy=seed, spawn_key=(trial,))))``,
-    for the three draws the sampler makes; each returns the value numpy's
+    for the two draws the sampler makes; each returns the value numpy's
     method of the same name returns.
 
     ``SeedSequence`` hashes the entropy words, the seed's and then the
@@ -146,12 +146,9 @@ class _Pcg64:
         self.half = word >> 32
         return word & _MASK32
 
-    def random(self) -> float:
-        """A double in [0, 1) from the top 53 bits of one 64-bit output."""
-        return (self._next64() >> 11) * 2.0**-53
-
     def uniform(self, lo: float, hi: float) -> float:
-        return lo + (hi - lo) * self.random()
+        """lo + (hi - lo) times the top 53 bits of one 64-bit output, as a double in [0, 1)."""
+        return lo + (hi - lo) * ((self._next64() >> 11) * 2.0**-53)
 
     def integers(self, lo: int, hi: int) -> int:
         """An integer in [lo, hi) by Lemire's bounded method on 32-bit draws,

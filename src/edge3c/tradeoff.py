@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .bandwidth import RouteCosts, _link_costs, _point_costs, route_costs
+from .bandwidth import _link_costs, _point_costs, route_costs
 from .bounds import cache_task_capacity
 from .errors import InfeasibleError, InvalidFieldError, TooLargeError
 from .model import (
@@ -42,7 +42,7 @@ from .model import (
     field_violation,
     validate_config,
 )
-from .policy import PolicySolution, _power_key, baseline_counts, solve_with_costs
+from .policy import PolicySolution, _bandwidth, _decide, _facts, _solution, baseline_counts
 
 SWEEP_PARAMETERS = {
     "cache_bits": "device.cache_bits",
@@ -217,25 +217,21 @@ def sweep(config: SystemConfig, spec: SweepSpec) -> list[SweepRow]:
 
     Infeasible grid points become error rows, not gaps, and so do values the
     validator rejects: the swept field's own rule, or the derived power draws
-    (a huge CPU speed overflows k1, a tiny deadline k2). The base config is
-    validated once and no point builds a config. ``cache_bits`` and
-    ``avg_power_w`` change no route cost, so one route_costs result serves
-    the whole grid; ``device_cpu_hz`` and ``deadline_s`` points rerun only
-    the per-point part of route_costs. A point's costs give the optimum and
-    every baseline; a baseline cell is None when the baseline or the
-    optimum is infeasible.
+    (a huge CPU speed overflows k1, a tiny deadline k2). A baseline cell is
+    None when the baseline or the optimum is infeasible. The base config is
+    validated once and no point builds a config. A ``cache_bits`` or
+    ``avg_power_w`` sweep costs its routes once; a ``device_cpu_hz`` or
+    ``deadline_s`` point reruns only the per-point part of route_costs.
 
-    The closed form and the baselines read the cache size only through the
-    cache capacity Q, and the power budget only through the facts in
-    ``policy._power_key`` (the power bound and three fits). So a
-    ``cache_bits`` sweep solves once per distinct Q and an ``avg_power_w``
-    sweep once per distinct power key, in effect once per distinct power
-    bound; the other points of the same key share that solution object,
-    each with its own copy of the baselines dict.
+    Each point computes its ``policy._facts``. The decision and the
+    baselines' counts are made once per distinct facts, and each point reads
+    its bandwidths from them at its own B2 and B3. A row shares the previous
+    row's solution object while the facts, and the B2 and B3 that the
+    optimum's counts read, repeat; every row has its own baselines dict.
     """
     validate_config(config)
     spec.validate()
-    param = spec.parameter
+    param, kinds = spec.parameter, spec.baselines
     dotted = SWEEP_PARAMETERS[param]
     f, i_remote, d = config.task_count, config.task.input_remote_bits, config.device
     point = {"cache_bits": d.cache_bits, "device_cpu_hz": d.cpu_hz,
@@ -246,8 +242,9 @@ def sweep(config: SystemConfig, spec: SweepSpec) -> list[SweepRow]:
     else:
         costs = route_costs(config)
     q = cache_task_capacity(d.cache_bits, i_remote, f)
-    # key -> (solution, error, baselines) of the cache or power points solved so far
-    solved: dict = {}
+    # facts -> (decision, baseline counts or None per kind) of the points so far
+    decided: dict = {}
+    last_key = solution = None
     rows = []
     for value in grid_values(spec):
         valid = field_violation(dotted, value) is None
@@ -257,39 +254,29 @@ def sweep(config: SystemConfig, spec: SweepSpec) -> list[SweepRow]:
                 costs = _point_costs(config, link, point["deadline_s"], point["device_cpu_hz"])
                 valid = _draws_violation(config, costs.k1, costs.k2) is None
         if not valid:
-            rows.append(SweepRow(param, value, None, "invalid_config",
-                                 dict.fromkeys(spec.baselines)))
+            rows.append(SweepRow(param, value, None, "invalid_config", dict.fromkeys(kinds)))
             continue
         if param == "cache_bits":
-            q = key = cache_task_capacity(value, i_remote, f)
-        elif param == "avg_power_w":
-            key = _power_key(f, q, value, costs)
-        else:
-            key = None
-        hit = solved.get(key)  # never stored under None
+            q = cache_task_capacity(value, i_remote, f)
+        facts = _facts(f, q, point["avg_power_w"], costs)
+        hit = decided.get(facts)
         if hit is None:
-            hit = _solve_point(f, q, point["avg_power_w"], costs, spec.baselines)
-            if key is not None:
-                solved[key] = hit
-        solution, error, baselines = hit
-        rows.append(SweepRow(param, value, solution, error,
-                             baselines if key is None else dict(baselines)))
+            decision = _decide(f, facts)
+            counts = None if isinstance(decision, InfeasibleError) else [
+                None if isinstance(c, InfeasibleError) else c
+                for c in (baseline_counts(kind, f, facts) for kind in kinds)]
+            hit = decided[facts] = decision, counts
+        decision, counts = hit
+        if counts is None:
+            rows.append(SweepRow(param, value, None, decision.constraint, dict.fromkeys(kinds)))
+            continue
+        key = (facts, costs.b2 if decision.x2 else None, costs.b3 if decision.x3 else None)
+        if key != last_key:
+            last_key, solution = key, _solution(f, decision, costs)
+        rows.append(SweepRow(param, value, solution, None, {
+            kind: None if c is None else _bandwidth(c[1], c[2], costs)
+            for kind, c in zip(kinds, counts)}))
     return rows
-
-
-def _solve_point(f: int, q: int, avg_power_w: float, costs: RouteCosts,
-                 kinds: tuple[str, ...]) -> tuple[PolicySolution | None, str | None, dict]:
-    """(solution, error, baselines) of one sweep point from its scalars and costs."""
-    baselines = dict.fromkeys(kinds)
-    try:
-        solution = solve_with_costs(f, q, avg_power_w, costs)
-    except InfeasibleError as exc:
-        return None, exc.constraint, baselines
-    for kind in kinds:
-        counts = baseline_counts(kind, f, q, avg_power_w, costs)
-        if not isinstance(counts, InfeasibleError):
-            baselines[kind] = counts[3]
-    return solution, None, baselines
 
 
 def rows_to_csv(rows: list[SweepRow], baselines: tuple[str, ...] = ()) -> str:

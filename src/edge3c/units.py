@@ -40,10 +40,10 @@ _UNIT_TABLES = {
     "watts": _WATT_UNITS,
 }
 
-_QUANTITY_RE = re.compile(
-    r"^\s*([+-]?[\d.]+(?:[eE][+-]?\d+)?)\s*([A-Za-z]+)?\s*"
-    r"(?:/\s*([+-]?[\d.]+(?:[eE][+-]?\d+)?)?\s*([A-Za-z]+))?\s*$"
-)
+_NUMBER = r"([+-]?[\d.]+(?:[eE][+-]?\d+)?)"
+#: number [unit] [/ [number] unit], matched against the stripped string; no two
+#: whitespace runs can touch, so a failed match backtracks in linear time
+_QUANTITY_RE = re.compile(rf"{_NUMBER}(?:\s*([A-Za-z]+))?(?:\s*/\s*(?:{_NUMBER}\s*)?([A-Za-z]+))?")
 
 
 def parse_quantity(value, dimension: str, field: str = "value") -> float:
@@ -63,12 +63,13 @@ def parse_quantity(value, dimension: str, field: str = "value") -> float:
     if not isinstance(value, str):
         raise InvalidFieldError(field, f"expected number or quantity string, got {type(value).__name__}")
 
-    m = _QUANTITY_RE.match(value)
+    m = _QUANTITY_RE.fullmatch(value.strip())
     if not m:
         raise InvalidFieldError(field, f"unparseable quantity {value!r}")
     num_s, unit, den_num_s, den_unit = m.groups()
     try:
         num = float(num_s)
+        den = float(den_num_s) if den_num_s else 1.0
     except ValueError:
         raise InvalidFieldError(field, f"bad number in {value!r}") from None
 
@@ -82,7 +83,6 @@ def parse_quantity(value, dimension: str, field: str = "value") -> float:
             raise InvalidFieldError(field, f"unknown power unit {unit!r}")
         if den_unit not in _HZ_UNITS:
             raise InvalidFieldError(field, f"unknown bandwidth unit {den_unit!r}")
-        den = float(den_num_s) if den_num_s else 1.0
         if den == 0:
             raise InvalidFieldError(field, f"{value!r}: zero bandwidth in PSD")
         return num * _WATT_UNITS[unit] / (den * _HZ_UNITS[den_unit])

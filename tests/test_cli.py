@@ -162,6 +162,47 @@ def test_exit_2_on_unreadable_or_unparseable(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["error"] == "config_parse"
 
 
+#: config files that fail to decode, each in its own way, and one over load_config's 1 MiB cap
+MALFORMED_CONFIGS = {
+    "not-utf8": b'{"task_count": "\xff"}',
+    "deep-nesting": b"[" * 100_000,
+    "digit-limit": b'{"task_count": ' + b"9" * 5000 + b"}",
+    "over-the-cap": (CONFIG_DIR / "reference.json").read_bytes() + b" " * 2**20,
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_CONFIGS)
+def test_malformed_config_exits_2_without_traceback(name, tmp_path, capsys):
+    path = tmp_path / "malformed.json"
+    path.write_bytes(MALFORMED_CONFIGS[name])
+    assert main(["solve", "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert json.loads(out)["error"] == "config_parse"
+    assert err == ""
+
+
+@pytest.mark.parametrize("where", ["start", "config"])
+def test_long_whitespace_quantity_fails_fast(where, tmp_path, capsys):
+    # "1", 100,000 spaces and "!": a unit pattern whose whitespace runs can
+    # touch backtracks over it in cubic time
+    text = "1" + " " * 100_000 + "!"
+    config, start = REFCFG, "1 MB"
+    if where == "config":
+        raw = json.loads((CONFIG_DIR / "reference.json").read_text())
+        raw["device"]["cache_bits"] = text
+        config = tmp_path / "spaces.json"
+        config.write_text(json.dumps(raw))
+    else:
+        start = text
+    begin = time.perf_counter()
+    code = main(["sweep", "--config", str(config), "--param", "cache_bits", "--start", start,
+                 "--stop", "2 MB", "--steps", "2"])
+    elapsed = time.perf_counter() - begin
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1 and elapsed < 0.1, elapsed
+    assert out["error"] == ("invalid_field" if where == "start" else "invalid_config")
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "--config", REFCFG],
     ["sweep", "--config", REFCFG, "--param", "cache_bits", "--start", "1", "--stop", "2",

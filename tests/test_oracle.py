@@ -160,7 +160,8 @@ def test_pcg64_port_matches_numpy():
                 hi = lo + rng.choice((1, 2, rng.randrange(1, 300), rng.randrange(1, 2**32 - 1)))
                 assert ours.integers(lo, hi) == theirs.integers(lo, hi), (seed, trial)
             elif kind == 1:
-                assert ours.random() == theirs.random(), (seed, trial)
+                # uniform(0, 1) is the bare [0, 1) double: 0 + 1 * r == r
+                assert ours.uniform(0.0, 1.0) == theirs.random(), (seed, trial)
             else:
                 lo = rng.uniform(-5.0, 5.0)
                 hi = lo + rng.uniform(0.0, 50.0)

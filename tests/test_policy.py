@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from edge3c import (
     RouteCosts,
     baseline_policy,
     classify_regime,
+    enumerate_optimal,
     power_within_budget,
     route_costs,
     sample_config,
@@ -74,6 +76,33 @@ def test_power_bound_is_the_extreme_count_the_budget_rule_accepts(f, k1, k2, bud
     fits = [n for n in range(f + 1) if power_within_budget(k1, k2, n, f - n, budget)]
     assert sol.x1 == 0
     assert sol.x2 == (max(fits) if k1 > k2 else min(fits))
+
+
+@pytest.mark.parametrize("overrides", [
+    {"switched_capacitance": 0.0},
+    {"switched_capacitance": 4.25e307, "uplink_psd": 1.25e308, "snr_up_db": 0.0,
+     "deadline_s": 0.5, "input_remote_bits": 0.0},
+    {"switched_capacitance": 0.0, "cpu_hz": 0.1, "server_cpu_hz": 0.5},
+], ids=["k1<k2", "k1>k2", "no-route"])
+def test_power_bound_where_the_budget_window_and_f_k2_are_infinite(overrides):
+    # a budget this close to the largest float puts the window's end past
+    # float range, and F*k2 overflows too, so the bound's location u is
+    # NaN; every count fits, as the lattice oracle finds
+    cfg = build_config(**{"uplink_psd": 1e299, "snr_up_db": -100.0,
+                          "avg_power_w": 1.7976931348623157e308, **overrides})
+    costs = route_costs(cfg)
+    assert math.isinf(cfg.task_count * costs.k2) and costs.k1 != costs.k2
+
+    def outcome(solve):
+        try:
+            sol = solve(cfg)
+        except InfeasibleError as exc:
+            return exc.constraint
+        return sol.b_total_hz
+
+    assert outcome(solve_optimal) == outcome(enumerate_optimal)
+    for kind in BASELINE_KINDS:
+        outcome(lambda c: baseline_policy(kind, c))
 
 
 def test_cache_binding_when_power_ample():

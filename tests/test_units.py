@@ -53,6 +53,7 @@ def test_dimensionless_rejects_units():
     (True, "bits"),
     (None, "bits"),
     ([1], "hz"),
+    ("1 W/. kHz", "watts_per_hz"),  # a denominator that float() rejects
 ])
 def test_rejects_garbage(bad, dim):
     with pytest.raises(InvalidFieldError):
