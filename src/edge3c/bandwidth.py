@@ -40,6 +40,8 @@ from .model import (
 
 DEFAULT_BANDWIDTH_CAP = 1e12  # Hz
 
+_TINY, _HUGE = 2.0 ** -1022, 1.7976931348623157e308  # the least and greatest normal floats
+
 
 class RouteCosts(NamedTuple):
     """Per-route bandwidths and power draws of a config, with feasibility flags.
@@ -94,18 +96,37 @@ def server_compute_latency(config: SystemConfig) -> float:
 
 def kkt_split(a1: float, a2: float, a3: float) -> tuple[float, float]:
     """Bandwidth-minimal (uplink, downlink) split for transfer costs a1, a2
-    within air time a3. Degenerate legs (a1 or a2 zero) get exactly 0."""
-    if not (a1 >= 0 and a2 >= 0):
-        raise InvalidFieldError("a1/a2", "must be >= 0")
+    within air time a3. Degenerate legs get exactly 0, shares past float range inf."""
+    if not (0 <= a1 < math.inf and 0 <= a2 < math.inf):
+        raise InvalidFieldError("a1/a2", "must be finite and >= 0")
     if not a3 > 0:
         raise InvalidFieldError("a3", "must be > 0")
-    if a1 + a2 == 0:
-        return 0.0, 0.0
     # sqrt(a1*a2), but the product of the roots where a1*a2 would overflow or
-    # lose bits: outside the normal floats, 2**-1022 to 1.7976931348623157e308
+    # lose bits; then _ratio's fast path, inline because every sweep point takes it
     g = a1 * a2
-    g = math.sqrt(g) if 2.0 ** -1022 <= g <= 1.7976931348623157e308 else math.sqrt(a1) * math.sqrt(a2)
-    return (a1 + g) / a3, (a2 + g) / a3
+    g = math.sqrt(g) if _TINY <= g <= _HUGE else math.sqrt(a1) * math.sqrt(a2)
+    up, down = a1 + g, a2 + g
+    bu, bd = up / a3, down / a3
+    if (_TINY <= bu <= _HUGE or not a1) and (_TINY <= bd <= _HUGE or not a2):
+        return bu, bd
+    return _ratio(up, a3), _ratio(down, a3)
+
+
+def _ratio(num: float, a: float, b: float = 1.0, c: float = 1.0) -> float:
+    """num / (a*b*c) for num >= 0 and factors > 0 in exact arithmetic, with no
+    intermediate outside the normal floats: the float division where a*b*c and
+    the quotient are normal, else the exact quotient rounded once. Past float
+    range, or over a factor that underflowed to 0, it is inf; over an infinite one, 0."""
+    den = a * b * c
+    if _TINY <= den <= _HUGE and _TINY <= (q := num / den) <= _HUGE:
+        return q
+    if math.inf in (a, b, c):
+        return 0.0
+    from fractions import Fraction
+    try:
+        return float(Fraction(num) / (Fraction(a) * Fraction(b) * Fraction(c)))
+    except (OverflowError, ZeroDivisionError):  # past float range, or over a 0 factor
+        return math.inf
 
 
 def route_latency(route: int, config: SystemConfig,
@@ -113,10 +134,9 @@ def route_latency(route: int, config: SystemConfig,
     """End-to-end latency of one task on the given route at the given bandwidths.
 
     Transfer terms with zero payload contribute 0 regardless of bandwidth;
-    a positive payload requires a positive bandwidth on its leg. The bits
-    are divided by the spectral efficiency and then by the bandwidth, so no
-    rate ``bw * se`` underflows; a transfer time past float range, as over a
-    subnormal bandwidth, is ``math.inf``.
+    a positive payload requires a positive bandwidth on its leg. Each leg's
+    time ``bits / (se * bw)`` is one range-safe quotient (``_ratio``), so a
+    tiny spectral efficiency or bandwidth costs no precision.
     """
     t = config.task
 
@@ -125,9 +145,9 @@ def route_latency(route: int, config: SystemConfig,
             return 0.0
         if se <= 0:
             raise DegenerateChannelError(f"{leg} spectral efficiency is 0 with {bits} bits to move")
-        if bw <= 0:
+        if not bw > 0:
             raise InvalidFieldError(f"{leg}_hz", "must be > 0 when there are bits to move")
-        return bits / se / bw
+        return _ratio(bits, se, bw)
 
     if route == 1:
         return local_compute_latency(config)
@@ -158,8 +178,7 @@ def _link_costs(config: SystemConfig) -> tuple[float, float, float, float]:
     t = config.task
     se_up = uplink_spectral_efficiency(config)
     se_down = downlink_spectral_efficiency(config)
-    # transfer costs in Hz-seconds; an infinite one (a dead link, or a cost
-    # past float range) leaves route 3 infeasible
+    # transfer costs in Hz-s: inf over a dead link or past float range (see _point_costs)
     a1 = 0.0 if t.input_local_bits == 0 else t.input_local_bits / se_up if se_up > 0 else math.inf
     a2 = 0.0 if t.output_bits == 0 else t.output_bits / se_down if se_down > 0 else math.inf
     return se_up, se_down, a1, a2
@@ -181,19 +200,31 @@ def _point_costs(config: SystemConfig, link: tuple[float, float, float, float],
     if t.input_remote_bits == 0:
         if not slack < 0:
             b2 = 0.0
-    elif slack * se_down > 0:  # 0 with no slack, a dead downlink, or underflow
-        b2 = t.input_remote_bits / (slack * se_down)
+    elif slack > 0:
+        b2 = _ratio(t.input_remote_bits, slack, se_down)
         if b2 > DEFAULT_BANDWIDTH_CAP:
             b2 = None
+        elif 0 < b2 < _TINY:  # subnormal, so short of bits: one ulp up meets the deadline
+            b2 = math.nextafter(b2, math.inf)
 
     b3 = bu3 = bd3 = None
-    if a3 > 0 and a1 < math.inf and a2 < math.inf:
-        bu3, bd3 = kkt_split(a1, a2, a3)
+    if a3 > 0:
+        if (not a1 or _TINY <= a1 < math.inf) and (not a2 or _TINY <= a2 < math.inf):
+            bu3, bd3 = kkt_split(a1, a2, a3)
+        if bu3 is None or math.inf in (bu3, bd3):
+            # a cost, or a1 + sqrt(a1*a2), outside the normal floats: per second of air time first
+            t1 = _ratio(t.input_local_bits, se_up, a3) if a1 else 0.0
+            t2 = _ratio(t.output_bits, se_down, a3) if a2 else 0.0
+            g = math.sqrt(t1) * math.sqrt(t2) if t1 and t2 else 0.0
+            bu3, bd3 = t1 + g, t2 + g
+        if 0 < bu3 < _TINY:  # as for B2
+            bu3 = math.nextafter(bu3, math.inf)
+        if 0 < bd3 < _TINY:
+            bd3 = math.nextafter(bd3, math.inf)
         b3 = bu3 + bd3
         if b3 > DEFAULT_BANDWIDTH_CAP:
             b3 = bu3 = bd3 = None
 
     k1, k2 = _power_draws(config, tau, cpu_hz, se_up)
-    return RouteCosts(b2=b2, b3=b3, bu3=bu3, bd3=bd3,
-                      a1=a1, a2=a2, a3=a3, k1=k1, k2=k2,
-                      route1_feasible=compute_local <= tau)
+    # by position: keywords cost about 0.5 us, a tenth of this function
+    return RouteCosts(b2, b3, bu3, bd3, a1, a2, a3, k1, k2, compute_local <= tau)

@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .bandwidth import _link_costs, _point_costs, route_costs
+from .bandwidth import _link_costs, _point_costs, _ratio, route_costs
 from .bounds import cache_task_capacity
 from .errors import InfeasibleError, InvalidFieldError, TooLargeError
 from .model import (
@@ -73,14 +73,6 @@ class TurningPoints(NamedTuple):
                 "absent": dict(self.absence_reasons)}
 
 
-def _div(num: float, den: float) -> float:
-    """num / den for a den that is > 0 in exact arithmetic: a den that
-    underflowed to 0 gives an infinity with num's sign, or 0 when num is 0."""
-    if den == 0:
-        return math.copysign(math.inf, num) if num else 0.0
-    return num / den
-
-
 def turning_points(config: SystemConfig) -> TurningPoints:
     """The up-to-three cpu-speed turning points of the config's bandwidth curve."""
     validate_config(config)
@@ -89,15 +81,13 @@ def turning_points(config: SystemConfig) -> TurningPoints:
     i_total = t.input_local_bits + t.input_remote_bits
     costs = route_costs(config)
     absent: dict[str, str] = {}
-    no_dynamic_power = mu <= 0 or t.cycles_per_bit * i_total <= 0
-    # mu * w * I_total, the dynamic-power factor in f2 and f3
-    denom = mu * t.cycles_per_bit * i_total
+    no_dynamic_power = mu <= 0 or t.cycles_per_bit <= 0 or i_total <= 0
 
     f2 = None
     if no_dynamic_power:
         absent["f2"] = "local computing draws no dynamic power: the budget never saturates"
     else:
-        f2 = math.sqrt(_div(tau * pbar, denom))
+        f2 = math.sqrt(_ratio(tau * pbar, mu, t.cycles_per_bit, i_total))
 
     f1 = None
     if t.input_remote_bits <= 0:
@@ -107,11 +97,9 @@ def turning_points(config: SystemConfig) -> TurningPoints:
     elif costs.b3 == 0:
         absent["f1"] = "offload route needs no bandwidth: the download route never crosses it"
     else:
-        # b3 > 0 makes peak > 0, but a dead downlink or an underflow can
-        # still zero se_down * peak
         peak = (math.sqrt(costs.a1) + math.sqrt(costs.a2)) ** 2
-        slack = tau - _div(costs.a3 * t.input_remote_bits,
-                           downlink_spectral_efficiency(config) * peak)
+        slack = tau - _ratio(costs.a3 * t.input_remote_bits,
+                             downlink_spectral_efficiency(config), peak)
         if slack <= 0:
             absent["f1"] = "download bandwidth exceeds the offload bandwidth at every cpu speed"
         else:
@@ -126,7 +114,8 @@ def turning_points(config: SystemConfig) -> TurningPoints:
     elif no_dynamic_power:
         absent["f3"] = "local computing draws no dynamic power: the cache bound never meets it"
     else:
-        k2, denom_c = costs.k2, denom * d.cache_bits
+        k2, denom = costs.k2, mu * t.cycles_per_bit * i_total  # the dynamic-power factor
+        denom_c = denom * d.cache_bits
         # the radicand's two terms; the second is >= 0
         term1 = math.nan if denom_c == 0 else \
             tau * f * (pbar - f * k2) * t.input_remote_bits / denom_c

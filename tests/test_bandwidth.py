@@ -55,7 +55,8 @@ def test_route2_infeasible_without_slack():
     # nothing to download: 0 Hz even with zero slack
     costs = route_costs(build_config(cpu_hz=0.5, input_remote_bits=0.0))
     assert costs.b2 == 0.0 and costs.route12_feasible
-    # 2e-7 s of slack on a -3200 dB downlink: slack * SE_down underflows to 0
+    # 2e-7 s of slack on a -3200 dB downlink: B2 = 1 / (2e-7 * 1.4e-320) is
+    # past float range
     costs = route_costs(build_config(cpu_hz=1.0000001, snr_down_db=-3200.0))
     assert costs.b2 is None and not costs.route12_feasible
 
@@ -129,6 +130,15 @@ def test_route_latency_is_infinite_where_the_rate_underflows():
     # a bandwidth that is 0 before any rounding is still a typed error
     with pytest.raises(InvalidFieldError):
         route_latency(2, cfg, downlink_hz=0.0)
+
+
+def test_route_latency_keeps_a_tiny_spectral_efficiency_in_range():
+    # SE_down is about 5.9e-296, so bits / SE_down alone would overflow, yet
+    # at its own B2 route 2 takes the whole 1e300 s deadline
+    cfg = build_config(input_remote_bits=5.6e13, snr_down_db=-2953.9, deadline_s=1e300,
+                       cycles_per_bit=0.0)
+    latency = route_latency(2, cfg, downlink_hz=route_costs(cfg).b2)
+    assert math.isfinite(latency) and math.isclose(latency, 1e300, rel_tol=1e-9)
 
 
 def test_route_costs_aggregate(reference_config):

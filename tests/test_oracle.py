@@ -341,10 +341,22 @@ def outcome(solver, config):
     # within 1e-300 W of it: the tolerance must be relative only
     (dict(avg_power_w=1e-310, switched_capacitance=5e-302, uplink_psd=2e-301), "power"),
     # an empty cache holds no remote input, however small
-    (dict(cache_bits=0.0, input_remote_bits=1e-310, task_count=5), (0, 5, 0, 3.3333333333334e-310)),
+    # (B2 is subnormal, so it is reported one ulp up)
+    (dict(cache_bits=0.0, input_remote_bits=1e-310, task_count=5),
+     (0, 5, 0, 3.33333333333365e-310)),
     # an uplink cost past float range leaves only the local routes, which
     # draw 20 W against 15 W
     (dict(snr_up_db=None, uplink_psd=1e-310), "power"),
+    # slack * SE_down = 1e-25 s * 1e-300 underflows, but B2 = 1e-315 / 1e-325
+    # is about 1e10 Hz, and route 3 cannot move 1e10 bits over that downlink
+    (dict(task_count=3, input_local_bits=0.0, input_remote_bits=1e-315, output_bits=1e10,
+          cycles_per_bit=0.0, deadline_s=1e-25, cache_bits=0.0, snr_down_db=-3001.6),
+     (0, 3, 0, 30057075007.214252)),
+    # a1 + sqrt(a1*a2) = 2e308 overflows, but over a3 = 9.925e299 s each leg
+    # needs about 2e8 Hz
+    (dict(task_count=3, input_local_bits=1e308, input_remote_bits=0.0, output_bits=1e308,
+          cycles_per_bit=1e-10, deadline_s=1e300, cpu_hz=1e-5, cache_bits=0.0, uplink_psd=1e-8),
+     (0, 0, 3, 1209068010.0755665)),
 ])
 def test_all_three_solvers_agree_at_the_float_edges(overrides, expected):
     cfg = build_config(**overrides)

@@ -272,4 +272,4 @@ def test_baseline_answers_are_pinned():
             else:
                 answer = repr((sol.x1, sol.x2, sol.x3, repr(sol.b_total_hz)))
             digest.update(answer.encode() + b"\n")
-    assert digest.hexdigest() == "079000109b2cae9785ac0a76bb2db7ea6f8ef9da8386d4ca4dba82976ec7b673"
+    assert digest.hexdigest() == "3f4e403260ce21bf1f78d343079316ab85e8f73276edc8cc3ae784431e0ecf61"

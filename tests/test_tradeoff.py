@@ -135,6 +135,22 @@ def test_absence_reasons():
     assert tp.f3_hz is None
     assert "offload-only draw" in tp.absence_reasons["f3"]
 
+    # a3 = 0.5, B3 = 8 and I_remote = 8 - 2**-49, so the slack of f1 is
+    # 1 - 0.5 * I_remote / 4 = 2**-52 s, and f1 = work * 2**52, about 3.6e309 Hz
+    i_remote = 8.0 - 2.0 ** -49
+    tp = turning_points(build_config(input_local_bits=0.0, input_remote_bits=i_remote,
+                                     output_bits=4.0, cycles_per_bit=1e293, deadline_s=1.0,
+                                     server_cpu_hz=2.0 * i_remote * 1e293))
+    assert tp.f1_hz is None
+    assert "beyond float range" in tp.absence_reasons["f1"]
+
+    # w * I_total = 2e-330 underflows to 0, yet mu, w and I_total are all
+    # positive, so local computing draws dynamic power and f2, f3 exist
+    tp = turning_points(build_config(cycles_per_bit=1e-170, input_local_bits=1e-160,
+                                     input_remote_bits=1e-160, switched_capacitance=1e100))
+    assert tp.f2_hz == pytest.approx(3.872983346207417e115, rel=1e-12)
+    assert tp.f3_hz == pytest.approx(7.270291799999699e35, rel=1e-12)
+
     # tasks that take no cycles: download undercuts offload at every speed,
     # so the crossing sits at exactly 0 Hz, which is kept
     tp = turning_points(build_config(cycles_per_bit=0.0, input_remote_bits=0.5))
