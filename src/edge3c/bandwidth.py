@@ -102,29 +102,26 @@ def kkt_split(a1: float, a2: float, a3: float) -> tuple[float, float]:
     if not a3 > 0:
         raise InvalidFieldError("a3", "must be > 0")
     # sqrt(a1*a2), but the product of the roots where a1*a2 would overflow or
-    # lose bits; then _ratio's fast path, inline because every sweep point takes it
+    # lose bits
     g = a1 * a2
     g = math.sqrt(g) if _TINY <= g <= _HUGE else math.sqrt(a1) * math.sqrt(a2)
-    up, down = a1 + g, a2 + g
-    bu, bd = up / a3, down / a3
-    if (_TINY <= bu <= _HUGE or not a1) and (_TINY <= bd <= _HUGE or not a2):
-        return bu, bd
-    return _ratio(up, a3), _ratio(down, a3)
+    return (a1 + g) / a3, (a2 + g) / a3
 
 
-def _ratio(num: float, a: float, b: float = 1.0, c: float = 1.0) -> float:
-    """num / (a*b*c) for num >= 0 and factors > 0 in exact arithmetic, with no
-    intermediate outside the normal floats: the float division where a*b*c and
-    the quotient are normal, else the exact quotient rounded once. Past float
-    range, or over a factor that underflowed to 0, it is inf; over an infinite one, 0."""
-    den = a * b * c
-    if _TINY <= den <= _HUGE and _TINY <= (q := num / den) <= _HUGE:
+def _ratio(x: float, y: float, a: float, b: float, c: float = 1.0) -> float:
+    """x*y / (a*b*c) for x, y >= 0 and a, b, c > 0 in exact arithmetic, with
+    no intermediate outside the normal floats: the float division where x*y,
+    a*b, a*b*c and the quotient are normal, else the exact quotient rounded
+    once. Past float range, or over a factor that underflowed to 0, it is inf;
+    over an infinite one, 0."""
+    if _TINY <= (n := x * y) <= _HUGE and _TINY <= (ab := a * b) <= _HUGE \
+            and _TINY <= (den := ab * c) <= _HUGE and _TINY <= (q := n / den) <= _HUGE:
         return q
     if math.inf in (a, b, c):
         return 0.0
     from fractions import Fraction
     try:
-        return float(Fraction(num) / (Fraction(a) * Fraction(b) * Fraction(c)))
+        return float(Fraction(x) * Fraction(y) / (Fraction(a) * Fraction(b) * Fraction(c)))
     except (OverflowError, ZeroDivisionError):  # past float range, or over a 0 factor
         return math.inf
 
@@ -147,7 +144,7 @@ def route_latency(route: int, config: SystemConfig,
             raise DegenerateChannelError(f"{leg} spectral efficiency is 0 with {bits} bits to move")
         if not bw > 0:
             raise InvalidFieldError(f"{leg}_hz", "must be > 0 when there are bits to move")
-        return _ratio(bits, se, bw)
+        return _ratio(bits, 1.0, se, bw)
 
     if route == 1:
         return local_compute_latency(config)
@@ -201,7 +198,7 @@ def _point_costs(config: SystemConfig, link: tuple[float, float, float, float],
         if not slack < 0:
             b2 = 0.0
     elif slack > 0:
-        b2 = _ratio(t.input_remote_bits, slack, se_down)
+        b2 = _ratio(t.input_remote_bits, 1.0, slack, se_down)
         if b2 > DEFAULT_BANDWIDTH_CAP:
             b2 = None
         elif 0 < b2 < _TINY:  # subnormal, so short of bits: one ulp up meets the deadline
@@ -213,8 +210,8 @@ def _point_costs(config: SystemConfig, link: tuple[float, float, float, float],
             bu3, bd3 = kkt_split(a1, a2, a3)
         if bu3 is None or math.inf in (bu3, bd3):
             # a cost, or a1 + sqrt(a1*a2), outside the normal floats: per second of air time first
-            t1 = _ratio(t.input_local_bits, se_up, a3) if a1 else 0.0
-            t2 = _ratio(t.output_bits, se_down, a3) if a2 else 0.0
+            t1 = _ratio(t.input_local_bits, 1.0, se_up, a3) if a1 else 0.0
+            t2 = _ratio(t.output_bits, 1.0, se_down, a3) if a2 else 0.0
             g = math.sqrt(t1) * math.sqrt(t2) if t1 and t2 else 0.0
             bu3, bd3 = t1 + g, t2 + g
         if 0 < bu3 < _TINY:  # as for B2

@@ -87,7 +87,7 @@ def turning_points(config: SystemConfig) -> TurningPoints:
     if no_dynamic_power:
         absent["f2"] = "local computing draws no dynamic power: the budget never saturates"
     else:
-        f2 = math.sqrt(_ratio(tau * pbar, mu, t.cycles_per_bit, i_total))
+        f2 = math.sqrt(_ratio(tau, pbar, mu, t.cycles_per_bit, i_total))
 
     f1 = None
     if t.input_remote_bits <= 0:
@@ -98,7 +98,7 @@ def turning_points(config: SystemConfig) -> TurningPoints:
         absent["f1"] = "offload route needs no bandwidth: the download route never crosses it"
     else:
         peak = (math.sqrt(costs.a1) + math.sqrt(costs.a2)) ** 2
-        slack = tau - _ratio(costs.a3 * t.input_remote_bits,
+        slack = tau - _ratio(costs.a3, t.input_remote_bits,
                              downlink_spectral_efficiency(config), peak)
         if slack <= 0:
             absent["f1"] = "download bandwidth exceeds the offload bandwidth at every cpu speed"

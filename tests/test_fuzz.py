@@ -11,7 +11,9 @@ float range, where products underflow and overflow. On every config the
 validator accepts it checks that the turning points stay finite and
 positive, or absent, and, for F up to 200, that the closed form matches the
 lattice oracle and no baseline beats the optimum; above F = 200 it compares
-the closed form with the lattice oracle on every tenth valid draw.
+the closed form with the lattice oracle on every tenth valid draw. The
+turning-point check also draws f1_edge_config, whose f1 lies near the top
+of the float range, and compares f1 with its value in exact arithmetic.
 
 A third sampler, full_config, draws magnitudes over the whole float range,
 subnormals and exact float edges included. On it the closed form must match
@@ -31,6 +33,7 @@ Three more checks reuse the samplers:
 
 import math
 import random
+import sys
 from collections import Counter
 from itertools import pairwise
 
@@ -77,6 +80,8 @@ PER_TASK_MAX_F = 6
 WIDE_SEED = 20260
 WIDE_COUNT = 16_000
 WIDE_LATTICE_MAX_F = 200
+#: draws of f1_edge_config after the wide draws of the turning-point test
+F1_EDGE_COUNT = 400
 #: above WIDE_LATTICE_MAX_F, the lattice checks every this-many-th valid draw
 WIDE_LATTICE_STRIDE = 10
 FULL_SEED = 1
@@ -226,11 +231,50 @@ def full_config(rng: random.Random) -> SystemConfig:
     )
 
 
+def f1_edge_config(rng: random.Random) -> SystemConfig:
+    """A config, valid or not, whose turning point f1 lies near the top of
+    the float range. f1 = work / slack, and route 3 meets the deadline only
+    where work < tau * f_S, so with f_S at most 1e300 an f1 past float range
+    needs a slack below 6e-9 * tau, which wide_config never draws. Here the
+    slack is a share eps of tau, log-uniform over 1e-11 to 1e-6, and f_S is
+    1e290 to 1e300. With no local input the slack is tau - a3 * I_remote / O,
+    so f1_exact gives f1 in exact arithmetic."""
+    # tau below 1e5 s keeps the work, at most tau * f_S, in float range
+    tau, f_s = 10.0 ** rng.uniform(-100.0, 5.0), 10.0 ** rng.uniform(290.0, 300.0)
+    ratio, eps = rng.uniform(1.5, 4.0), 10.0 ** rng.uniform(-11.0, -6.0)
+    out_bits = 10.0 ** rng.uniform(-3.0, 8.0) * tau / ratio  # B3 at most 7e10 Hz
+    i_remote = ratio * out_bits
+    # a3 = tau * (1 - eps) / ratio, so a3 * I_remote / O = tau * (1 - eps)
+    w = f_s * (tau / i_remote) * ((ratio - 1.0 + eps) / ratio)
+    return SystemConfig(
+        task_count=rng.randint(1, 1000),
+        task=TaskSpec(input_local_bits=0.0, input_remote_bits=i_remote, output_bits=out_bits,
+                      cycles_per_bit=w, deadline_s=tau),
+        device=DeviceParams(cpu_hz=10.0 ** rng.uniform(-300.0, 300.0), switched_capacitance=0.0,
+                            cache_bits=0.0, avg_power_w=1.0, uplink_psd=1.0),
+        server=ServerParams(cpu_hz=f_s, downlink_psd=1.0),
+        channel=ChannelParams(gain=1.0, noise_psd=1.0, snr_up_db=None,
+                              snr_down_db=rng.uniform(-30.0, 40.0)),
+    )
+
+
+def f1_exact(config: SystemConfig):
+    """f1 of a config with no local input and a positive slack, as a
+    Fraction: SE_down * a2 is O exactly, so the slack is tau - a3 * I_remote / O."""
+    from fractions import Fraction
+    t = config.task
+    work = Fraction(t.input_remote_bits) * Fraction(t.cycles_per_bit)
+    tau = Fraction(t.deadline_s)
+    a3 = tau - work / Fraction(config.server.cpu_hz)
+    slack = tau - a3 * Fraction(t.input_remote_bits) / Fraction(t.output_bits)
+    return work / slack
+
+
 def test_turning_points_return_on_wide_range_configs():
-    rng = random.Random(WIDE_SEED)
+    rng, edge_rng = random.Random(WIDE_SEED), random.Random(WIDE_SEED + 4)
     seen = Counter()
-    for _ in range(WIDE_COUNT):
-        config = wide_config(rng)
+    for i in range(WIDE_COUNT + F1_EDGE_COUNT):
+        config = wide_config(rng) if i < WIDE_COUNT else f1_edge_config(edge_rng)
         try:
             validate_config(config)
         except InvalidConfigError:
@@ -244,14 +288,21 @@ def test_turning_points_return_on_wide_range_configs():
             seen[name, "finite" if hz is not None else
                  "beyond float range" if "beyond float range" in reason else
                  "below float range" if "below float range" in reason else "no crossing"] += 1
+        if i >= WIDE_COUNT:
+            # the float slack is within a few 1e-16 * tau of the exact one, at
+            # least 1e-11 * tau, so f1 is within 0.1% of the exact f1
+            seen["f1 edge"] += 1
+            exact = f1_exact(config)
+            if exact > 1.001 * sys.float_info.max:
+                assert "beyond float range" in tp.absence_reasons["f1"], (exact, tp, config)
+            elif exact < 0.999 * sys.float_info.max:
+                assert relative_error(tp.f1_hz, float(exact)) <= 1e-3, (exact, tp, config)
     # each point came out finite, beyond and below float range, and absent
-    # for a reason of its own. Except f1 beyond float range: f1 = work /
-    # slack, and route 3 meets the deadline only where work < tau * f_S, so
-    # with f_S at most 1e300 the slack must fall below 6e-9 * tau, which no
-    # draw reaches; test_tradeoff.py::test_absence_reasons builds that case
+    # for a reason of its own
     for name in ("f1", "f2", "f3"):
         for outcome in ("finite", "beyond float range", "below float range", "no crossing"):
-            assert seen[name, outcome] > 0 or (name, outcome) == ("f1", "beyond float range"), seen
+            assert seen[name, outcome] > 0, seen
+    assert seen["f1 edge"] > F1_EDGE_COUNT // 2, seen
 
 
 # a power draw past float range overflows to inf, which the budget rule
@@ -321,8 +372,9 @@ def test_route_latency_never_divides_by_zero_on_wide_range_configs():
                 continue
             assert not math.isnan(latency), (route, bandwidths, config)
             seen[route, "infinite" if latency == math.inf else "finite"] += 1
-    # route_latency divides by se and then by bw, so no rate underflows to an
-    # infinite latency; a bandwidth reported as 0.0 Hz occurred on both routes
+    # route_latency takes each leg's bits / (se * bw) exactly where se * bw
+    # leaves the normal floats, so no rate underflows to an infinite latency;
+    # a bandwidth reported as 0.0 Hz occurred on both routes
     for route in (2, 3):
         assert seen[route, "finite"] > 0 and seen[route, "invalid_field"] > 0, seen
         assert seen[route, "infinite"] == 0, seen

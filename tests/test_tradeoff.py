@@ -151,6 +151,19 @@ def test_absence_reasons():
     assert tp.f2_hz == pytest.approx(3.872983346207417e115, rel=1e-12)
     assert tp.f3_hz == pytest.approx(7.270291799999699e35, rel=1e-12)
 
+    # a3 * I_remote = 1e310 overflows, yet the slack of f1 is
+    # 1e300 - 1e300 * 1e10 / 1e308 = 1e300 - 100 s, so f1 = 1e290 / 1e300 Hz
+    tp = turning_points(build_config(input_local_bits=0.0, input_remote_bits=1e10,
+                                     output_bits=1e308, cycles_per_bit=1e280, deadline_s=1e300,
+                                     cpu_hz=1.0, server_cpu_hz=1e10, switched_capacitance=1e-300))
+    assert tp.f1_hz == pytest.approx(1e-10, rel=1e-12)
+
+    # mu * w = 1e-320 is subnormal, so mu * w * I_total = 2e-220 is normal
+    # but keeps only a few digits; f2 = sqrt(2 * 15 / 2e-220) is exact to 1e-15
+    tp = turning_points(build_config(switched_capacitance=1e-200, cycles_per_bit=1e-120,
+                                     input_local_bits=1e100, input_remote_bits=1e100))
+    assert tp.f2_hz == pytest.approx(math.sqrt(15e220), rel=1e-15)
+
     # tasks that take no cycles: download undercuts offload at every speed,
     # so the crossing sits at exactly 0 Hz, which is kept
     tp = turning_points(build_config(cycles_per_bit=0.0, input_remote_bits=0.5))
