@@ -48,15 +48,47 @@ def within_budget(total: float, budget: float) -> bool:
 def power_within_budget(k1: float, k2: float, x_local: int, x_offload: int,
                         budget_w: float) -> bool:
     """Whether a mix of x_local locally-computed and x_offload offloaded tasks
-    fits the average power budget (``within_budget``)."""
-    return within_budget(k1 * x_local + k2 * x_offload, budget_w)
+    fits the average power budget (``within_budget``).
+
+    The draw k1*x_local + k2*x_offload is evaluated as lo*F + |k1 - k2|*h,
+    with lo = min(k1, k2), F = x_local + x_offload and h the tasks on the
+    hungrier route: the local ones when k1 > k2, else the offloaded ones. At
+    a fixed F that is one rounded product and one rounded sum, each
+    nondecreasing in h, so the rule accepts a prefix of h at any F; with
+    every term >= 0, the draw is never NaN."""
+    hungry = x_local if k1 > k2 else x_offload
+    return within_budget(min(k1, k2) * (x_local + x_offload) + abs(k1 - k2) * hungry, budget_w)
 
 
 def counts_within_power_budget(k1: float, k2: float, f: int, counts,
                                budget_w: float) -> list[int]:
     """The local counts s of ``counts`` that ``power_within_budget(k1, k2, s,
-    f - s, budget_w)`` accepts, by the same float operations, with the limit
-    computed once. Every count is checked, with no monotonicity assumed; the
-    two functions change together."""
-    limit = budget_w * (1.0 + REL_EPS)
-    return [s for s in counts if k1 * s + k2 * (f - s) <= limit]
+    f - s, budget_w)`` accepts, by the same float operations, with lo*F and
+    the limit computed once. Every count is checked, with no monotonicity
+    assumed; the two functions change together."""
+    base, gap, limit = min(k1, k2) * f, abs(k1 - k2), budget_w * (1.0 + REL_EPS)
+    if k1 > k2:
+        return [s for s in counts if base + gap * s <= limit]
+    return [s for s in counts if base + gap * (f - s) <= limit]
+
+
+def power_cap(k1: float, k2: float, f: int, budget_w: float) -> int:
+    """The most tasks h in [0, F] that the power budget lets onto the hungrier
+    route (local when k1 > k2, else offloaded), or -1 when no mix fits: the
+    largest h that ``power_within_budget`` accepts, by the same float
+    operations. The draw is nondecreasing in h, so an integer bisection finds
+    it exactly at any F. When k1 == k2 the mix does not move the draw, and
+    the cap is F or -1."""
+    base, gap, limit = min(k1, k2) * f, abs(k1 - k2), budget_w * (1.0 + REL_EPS)
+    if base > limit:
+        return -1
+    if base + gap * f <= limit:
+        return f
+    fits, misses = 0, f  # the rule accepts h = fits and rejects h = misses
+    while misses - fits > 1:
+        mid = (fits + misses) // 2
+        if base + gap * mid <= limit:
+            fits = mid
+        else:
+            misses = mid
+    return fits

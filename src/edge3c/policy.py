@@ -10,27 +10,24 @@ x3 offloaded, minimizing x2*B2 + x3*B3 subject to
     x1 + x2 + x3 = F, all >= 0 integers.
 
 The argmin has a closed form. Write Q = min(F, floor(C / I_remote)) for the
-cache capacity in tasks and u = (Pbar - F*k2) / (k1 - k2) for the power
-bound's real-valued location. Cached tasks cost no bandwidth, so x1 is always
-pushed to its cap; the rest splits by which route is cheaper per Hz and which
+cache capacity in tasks. The power draw is min(k1, k2)*F + |k1 - k2|*h, with
+h the tasks on the hungrier route (local when k1 > k2, else offloaded), so
+the budget caps h; ``bounds.power_cap`` gives that cap, the largest h the
+budget rule accepts. Cached tasks cost no bandwidth, so x1 is always pushed
+to its cap; the rest splits by which route is cheaper per Hz and which
 direction the power budget cuts:
 
 * k1 > k2 (local computing is the power-hungry option): the budget caps the
-  number of locally computed tasks at U = floor(u).
+  number of locally computed tasks at U = cap.
   - B3 > B2: x1 = min(Q, U), x2 = max(0, min(F, U) - x1), x3 = rest.
   - B3 <= B2: x1 = min(Q, U), x2 = 0, x3 = rest (offload is cheaper in both
     bandwidth and power, so route 2 is never used).
-* k1 <= k2 (offloading is the power-hungry option): the budget now puts a
-  floor L = ceil(u) on the number of locally computed tasks (note u keeps the
-  k1 - k2 denominator; both numerator and denominator flip sign together).
+* k1 <= k2 (offloading is the power-hungry option, or neither): the budget
+  puts a floor L = F - cap on the number of locally computed tasks, which is
+  0 when k1 == k2 and the budget holds any mix.
   - B3 > B2: offloading never helps: x1 = Q, x2 = F - Q, x3 = 0.
   - B3 <= B2: x1 = Q, x2 = max(0, L - x1), x3 = rest; x2 > 0 exactly when the
     power budget forces tasks off the otherwise-cheaper offload route.
-* k1 == k2: the mix does not move total power, so the bound is treated as
-  absent (only the F * k1 <= Pbar feasibility pre-check applies).
-
-In floats, U and L are the counts that ``bounds.power_within_budget``, the
-budget rule of the oracles, accepts at the bound.
 
 When a route cannot meet the deadline at any bandwidth the same objective is
 minimized over the remaining routes; coverage is checked first (latency), then
@@ -54,18 +51,18 @@ A solution's ``binding`` lists the constraints that hold it, in this order:
   bound on x1;
 * "power": when k1 > k2, U is the tightest bound on x1, or U < F stops
   downloads while B3 > B2 and routes 2 and 3 both meet the deadline; when
-  k1 <= k2, L forces downloads (x2 > 0);
+  k1 <= k2, L forces downloads onto the pricier route 2 (x2 > 0 while
+  B3 <= B2: the forced-local regime);
 * "tasks": F is the tightest bound on x1;
 * "latency": some route misses the deadline.
 """
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 from .bandwidth import RouteCosts, route_costs
-from .bounds import REL_EPS, cache_task_capacity, power_within_budget
+from .bounds import cache_task_capacity, power_cap
 from .errors import InfeasibleError, InvalidFieldError
 from .model import SystemConfig, validate_config
 
@@ -131,63 +128,29 @@ class _Decision(NamedTuple):
 def _facts(f: int, q: int, avg_power_w: float, costs: RouteCosts) -> tuple:
     """Every discrete fact that the optimum and the three baselines read:
     qf (Q, or 0 when route 1 misses the deadline), the three route flags,
-    whether the least-power mix fits (its local count is F, or 0 where
-    offloading draws less, or Q where route 3 serves all but the cached tasks
-    and draws more), the power bound, k1 > k2, B3 > B2 (a route that misses
-    the deadline costs infinity), and whether all-offload and all-local fit."""
-    k1, k2 = costs.k1, costs.k2
+    the power cap (``bounds.power_cap``), k1 > k2, and B3 > B2 (a route that
+    misses the deadline costs infinity). Whether a mix fits the budget is
+    whether its h is at most the cap, so no fit needs a fact of its own."""
     r1, r2, r3 = costs.route1_feasible, costs.route12_feasible, costs.route3_feasible
-    qf = q if r1 else 0
-    n = f if not r3 else ((f if k1 <= k2 else 0) if r2 else (qf if k2 > k1 else 0))
-    return (qf, r1, r2, r3, power_within_budget(k1, k2, n, f - n, avg_power_w),
-            _power_bound(f, k1, k2, avg_power_w), k1 > k2,
-            r2 and (not r3 or costs.b3 > costs.b2),
-            power_within_budget(k1, k2, 0, f, avg_power_w),
-            power_within_budget(k1, k2, f, 0, avg_power_w))
-
-
-def _power_bound(f: int, k1: float, k2: float, avg_power_w: float) -> int | None:
-    """The power budget's bound on the local count x1 + x2: the cap U when
-    k1 > k2, the floor L when k1 < k2, and None when k1 == k2 (the mix does
-    not move total power).
-
-    u is where the budget's tolerance window ends, as a count of local tasks,
-    clamped into [0, F] before rounding: a near-zero k1 - k2 can push it to
-    huge magnitudes or infinity. One step either way settles the count on
-    power_within_budget, the oracles' rule; more steps would only walk float
-    noise, which spans many counts at huge F."""
-    if k1 == k2:
-        return None
-    k1_gt = k1 > k2
-    u = (avg_power_w * (1.0 + REL_EPS) - f * k2) / (k1 - k2)
-    if math.isnan(u):  # an infinite window less an infinite F*k2: every count fits
-        u = math.inf if k1_gt else -math.inf
-    n = 0 if u <= 0 else (f if u >= f else (math.floor(u) if k1_gt else math.ceil(u)))
-    if k1_gt:
-        if n < f and power_within_budget(k1, k2, n + 1, f - n - 1, avg_power_w):
-            n += 1
-        elif n > 0 and not power_within_budget(k1, k2, n, f - n, avg_power_w):
-            n -= 1
-    else:
-        if n > 0 and power_within_budget(k1, k2, n - 1, f - n + 1, avg_power_w):
-            n -= 1
-        elif n < f and not power_within_budget(k1, k2, n, f - n, avg_power_w):
-            n += 1
-    return n
+    return (q if r1 else 0, r1, r2, r3, power_cap(costs.k1, costs.k2, f, avg_power_w),
+            costs.k1 > costs.k2, r2 and (not r3 or costs.b3 > costs.b2))
 
 
 def _decide(f: int, facts: tuple) -> _Decision | InfeasibleError:
     """The optimum's decision at F from its ``_facts``, or the InfeasibleError,
     returned, not raised: latency when the feasible routes cannot cover the
-    task set, else power when the power floor does not fit."""
-    qf, r1, r2, r3, floor_fits, bound, k1_gt, b3_gt_b2 = facts[:8]
+    task set, else power when the least-power mix does not fit."""
+    qf, r1, r2, r3, cap, k1_gt, b3_gt_b2 = facts
     if qf + (f if r2 else 0) + (f if r3 else 0) < f:
         return InfeasibleError("latency", "feasible routes cannot cover the task set")
-    if not floor_fits:
+    # h of the least-power mix: offload all when k1 > k2, else compute all
+    # locally, as far as the routes that meet the deadline allow
+    if ((0 if r3 else f) if k1_gt else (f - qf if r3 and not r2 else 0)) > cap:
         return InfeasibleError("power", "minimum achievable power exceeds the budget")
 
-    # bound is the power budget's bound on x1 + x2, in [0, F]: the cap U when
-    # k1 > k2, the floor L when k1 < k2, None when k1 == k2
+    # the power budget's bound on x1 + x2, in [0, F]: the cap U when k1 > k2,
+    # else the floor L
+    bound = cap if k1_gt else f - cap
     tightest = min(qf, bound) if k1_gt else qf  # the tightest bound on x1; Q <= F always holds
     x1 = tightest if r3 else qf  # without route 3: route 2, or route 1 alone with Q = F
     if not r3:
@@ -197,7 +160,7 @@ def _decide(f: int, facts: tuple) -> _Decision | InfeasibleError:
     elif k1_gt:
         x2 = bound - x1 if b3_gt_b2 else 0
     else:
-        x2 = f - x1 if b3_gt_b2 else max(0, (bound or 0) - x1)
+        x2 = f - x1 if b3_gt_b2 else max(0, bound - x1)
     x3 = f - x1 - x2
 
     if not k1_gt:
@@ -212,7 +175,7 @@ def _decide(f: int, facts: tuple) -> _Decision | InfeasibleError:
     binding = tuple(name for name, holds in (
         ("cache", qf == tightest),
         ("power", (bound == tightest or (b3_gt_b2 and r2 and r3 and bound < f)) if k1_gt
-         else x2 > 0),
+         else detail == "forced-local"),
         ("tasks", f == tightest),
         ("latency", not (r1 and r2 and r3)),
     ) if holds)
@@ -266,12 +229,11 @@ def baseline_counts(kind: str, f: int, facts: tuple) -> tuple[int, int, int] | I
     """(x1, x2, x3) of a baseline policy at F, from the optimum's ``_facts``,
     or the InfeasibleError, returned, not raised, when it cannot serve the
     task set."""
-    qf, _, r2, r3 = facts[:4]
-    offload_fits, local_fits = facts[8:]
+    qf, _, r2, r3, cap, k1_gt, _ = facts
     if kind == "mec_only":
         if not r3:
             return InfeasibleError("latency", "offload route cannot meet the deadline")
-        if not offload_fits:
+        if (0 if k1_gt else f) > cap:
             return InfeasibleError("power", "offloading every task exceeds the power budget")
         return 0, 0, f
     if kind in ("local_only", "local_no_cache"):
@@ -280,7 +242,7 @@ def baseline_counts(kind: str, f: int, facts: tuple) -> tuple[int, int, int] | I
         x2 = f - x1
         if x2 and not r2:
             return InfeasibleError("latency", "download-and-compute route cannot meet the deadline")
-        if not local_fits:
+        if (f if k1_gt else 0) > cap:
             return InfeasibleError("power", "computing every task locally exceeds the power budget")
         return x1, x2, 0
     raise InvalidFieldError("kind", f"unknown baseline {kind!r}")

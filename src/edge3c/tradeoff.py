@@ -97,9 +97,13 @@ def turning_points(config: SystemConfig) -> TurningPoints:
     elif costs.b3 == 0:
         absent["f1"] = "offload route needs no bandwidth: the download route never crosses it"
     else:
-        peak = (math.sqrt(costs.a1) + math.sqrt(costs.a2)) ** 2
+        root = math.sqrt(costs.a1) + math.sqrt(costs.a2)
+        try:
+            peak = (root ** 2,)
+        except OverflowError:  # libm's pow raises past float range: square in the quotient
+            peak = (root, root)
         slack = tau - _ratio(costs.a3, t.input_remote_bits,
-                             downlink_spectral_efficiency(config), peak)
+                             downlink_spectral_efficiency(config), *peak)
         if slack <= 0:
             absent["f1"] = "download bandwidth exceeds the offload bandwidth at every cpu speed"
         else:

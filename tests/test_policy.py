@@ -55,6 +55,22 @@ def test_power_floor_rejects_naive_split():
     assert (solve_optimal(cfg).x1, solve_optimal(cfg).x2, solve_optimal(cfg).x3) != (2, 0, 8)
 
 
+def _assert_extreme_power_bound(f, k1, k2, budget):
+    # with an empty cache and the power bound on the cheaper route, x2 is the
+    # bound: the cap U when k1 > k2, the floor L otherwise. The rule accepts
+    # it, and no count up to 2,000 beyond it
+    b2, b3 = (1.0, 2.0) if k1 > k2 else (2.0, 1.0)
+    costs = RouteCosts(b2=b2, b3=b3, bu3=b3, bd3=0.0, a1=1.0, a2=1.0, a3=1.0,
+                       k1=k1, k2=k2, route1_feasible=True)
+    sol = solve_with_costs(f, 0, budget, costs)
+    bound = sol.x2
+    beyond = range(bound + 1, min(f, bound + 2000) + 1) if k1 > k2 else \
+        range(max(0, bound - 2000), bound)
+    assert sol.x1 == 0
+    assert power_within_budget(k1, k2, bound, f - bound, budget)
+    assert not [n for n in beyond if power_within_budget(k1, k2, n, f - n, budget)]
+
+
 @pytest.mark.parametrize("f, k1, k2, budget", [
     (2, 1.295659547951793, 1.2956323478557785, 2.591291893216279),
     (3, 0.03427003561780377, 0.03207999621387544, 0.10062006734886289),
@@ -62,20 +78,28 @@ def test_power_floor_rejects_naive_split():
     (3, 0.48967115966410146, 0.48967115966434693, 1.4690134775235362),
     (10, 1.0 + 1e-10, 1.0, 10.0),
     (10, 1.0, 1.0 + 1e-10, 10.0),
+    (193647022645042, 8.580995864138455e-06, 8.580995883177511e-06, 1661684302.256143),
 ], ids=["k1>k2-step-up", "k1>k2-step-down", "k1<k2-step-down", "k1<k2-step-up",
-        "k1>k2-wide-window", "k1<k2-wide-window"])
+        "k1>k2-wide-window", "k1<k2-wide-window", "k1<k2-huge-f"])
 def test_power_bound_is_the_extreme_count_the_budget_rule_accepts(f, k1, k2, budget):
     # the first four budgets' tolerance windows end within float rounding of
     # a count's draw, where rounding the window's edge lands one count off;
-    # the last two windows span more than F counts. With an empty cache and
-    # the power bound on the cheaper route, x2 is the bound
-    b2, b3 = (1.0, 2.0) if k1 > k2 else (2.0, 1.0)
-    costs = RouteCosts(b2=b2, b3=b3, bu3=b3, bd3=0.0, a1=1.0, a2=1.0, a3=1.0,
-                       k1=k1, k2=k2, route1_feasible=True)
-    sol = solve_with_costs(f, 0, budget, costs)
-    fits = [n for n in range(f + 1) if power_within_budget(k1, k2, n, f - n, budget)]
-    assert sol.x1 == 0
-    assert sol.x2 == (max(fits) if k1 > k2 else min(fits))
+    # the next two windows span more than F counts; at the last F, an ulp of
+    # the draw spans many counts
+    _assert_extreme_power_bound(f, k1, k2, budget)
+
+
+def test_power_bound_is_the_extreme_count_on_near_ties_at_huge_f():
+    # |k1 - k2| / k2 from 1e-16 to 1e-6 and F from 1e6 to 1e15, with the
+    # budget set to the draw of a random mix: the draw's rounding spans many
+    # counts, so the bound must come from the rule, not from the window's edge
+    rng = random.Random(2024)
+    for _ in range(400):
+        f = int(10.0 ** rng.uniform(6.0, 15.0))
+        k2 = 10.0 ** rng.uniform(-9.0, 3.0)
+        k1 = k2 * (1.0 + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-16.0, -6.0))
+        n = rng.randrange(f + 1)
+        _assert_extreme_power_bound(f, k1, k2, k1 * n + k2 * (f - n))
 
 
 @pytest.mark.parametrize("overrides", [
@@ -86,8 +110,8 @@ def test_power_bound_is_the_extreme_count_the_budget_rule_accepts(f, k1, k2, bud
 ], ids=["k1<k2", "k1>k2", "no-route"])
 def test_power_bound_where_the_budget_window_and_f_k2_are_infinite(overrides):
     # a budget this close to the largest float puts the window's end past
-    # float range, and F*k2 overflows too, so the bound's location u is
-    # NaN; every count fits, as the lattice oracle finds
+    # float range, and F*k2 overflows too; every count fits, as the lattice
+    # oracle finds
     cfg = build_config(**{"uplink_psd": 1e299, "snr_up_db": -100.0,
                           "avg_power_w": 1.7976931348623157e308, **overrides})
     costs = route_costs(cfg)
@@ -257,7 +281,7 @@ def test_closed_form_answers_are_pinned():
     digest = hashlib.sha256()
     for config in _pinned_configs():
         digest.update(_pinned_answer(config).encode() + b"\n")
-    assert digest.hexdigest() == "b8d39e256b09b6359b565640808e05b9f391245755fc043cd0047853dcd0b3f6"
+    assert digest.hexdigest() == "0d746b645fd34522739463b00b25fbb98c03b7084a643a4153f5af5a9cb10fd6"
 
 
 def test_baseline_answers_are_pinned():

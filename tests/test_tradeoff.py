@@ -144,6 +144,14 @@ def test_absence_reasons():
     assert tp.f1_hz is None
     assert "beyond float range" in tp.absence_reasons["f1"]
 
+    # a1 and a2 are near 1e308, so (sqrt(a1) + sqrt(a2))**2 passes float range
+    # while f1 does not; the reference value was taken at 60 digits
+    tp = turning_points(build_config(input_local_bits=1e308, input_remote_bits=5e307,
+                                     output_bits=1.5e308, cycles_per_bit=1e-300,
+                                     deadline_s=1e300, switched_capacitance=1e-300,
+                                     cpu_hz=1e10, server_cpu_hz=1e10, uplink_psd=1e-10))
+    assert math.isclose(tp.f1_hz, 1.66855865354369e-292, rel_tol=1e-12)
+
     # w * I_total = 2e-330 underflows to 0, yet mu, w and I_total are all
     # positive, so local computing draws dynamic power and f2, f3 exist
     tp = turning_points(build_config(cycles_per_bit=1e-170, input_local_bits=1e-160,
