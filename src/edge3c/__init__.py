@@ -15,10 +15,8 @@ from .bandwidth import (
     DEFAULT_BANDWIDTH_CAP,
     RouteCosts,
     kkt_split,
-    local_compute_latency,
     route_costs,
     route_latency,
-    server_compute_latency,
 )
 from .bounds import cache_task_capacity, floor_eps, power_within_budget
 from .errors import (
@@ -117,7 +115,6 @@ __all__ = [
     "grid_values",
     "kkt_split",
     "load_config",
-    "local_compute_latency",
     "numeric_bandwidth_split",
     "parse_quantity",
     "power_coefficients",
@@ -128,7 +125,6 @@ __all__ = [
     "route_latency",
     "run_verification",
     "sample_config",
-    "server_compute_latency",
     "snr_db_to_spectral_efficiency",
     "solve_optimal",
     "spectral_efficiency",

@@ -22,7 +22,8 @@ is strictly decreasing in allocated bandwidth:
   with the constraint tight at the optimum.
 
 Bandwidths beyond ``DEFAULT_BANDWIDTH_CAP`` are reported infeasible; the cap
-guards near-singular denominators just before true infeasibility.
+guards near-singular denominators just before true infeasibility. Compute
+times, B2, the B3 split and each leg of ``route_latency`` use ``bounds._ratio``.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+from .bounds import _HUGE, _TINY, _ratio
 from .errors import DegenerateChannelError, InvalidFieldError
 from .model import (
     SystemConfig,
@@ -39,9 +41,6 @@ from .model import (
 )
 
 DEFAULT_BANDWIDTH_CAP = 1e12  # Hz
-
-_TINY, _HUGE = 2.0 ** -1022, 1.7976931348623157e308  # the least and greatest normal floats
-
 
 class RouteCosts(NamedTuple):
     """Per-route bandwidths and power draws of a config, with feasibility flags.
@@ -84,14 +83,12 @@ class RouteCosts(NamedTuple):
         }
 
 
-def local_compute_latency(config: SystemConfig) -> float:
+def _compute_time(config: SystemConfig, cpu_hz: float) -> float:
+    """One task's compute time ``(I_local + I_remote) * w / cpu_hz``, range-safe."""
     t = config.task
-    return (t.input_local_bits + t.input_remote_bits) * t.cycles_per_bit / config.device.cpu_hz
-
-
-def server_compute_latency(config: SystemConfig) -> float:
-    t = config.task
-    return (t.input_local_bits + t.input_remote_bits) * t.cycles_per_bit / config.server.cpu_hz
+    if (bits := t.input_local_bits + t.input_remote_bits) > _HUGE:  # halving each input is exact there
+        return _ratio(t.input_local_bits / 2 + t.input_remote_bits / 2, t.cycles_per_bit, cpu_hz, 0.5)
+    return _ratio(bits, t.cycles_per_bit, cpu_hz, 1.0)
 
 
 def kkt_split(a1: float, a2: float, a3: float) -> tuple[float, float]:
@@ -106,24 +103,6 @@ def kkt_split(a1: float, a2: float, a3: float) -> tuple[float, float]:
     g = a1 * a2
     g = math.sqrt(g) if _TINY <= g <= _HUGE else math.sqrt(a1) * math.sqrt(a2)
     return (a1 + g) / a3, (a2 + g) / a3
-
-
-def _ratio(x: float, y: float, a: float, b: float, c: float = 1.0) -> float:
-    """x*y / (a*b*c) for x, y >= 0 and a, b, c > 0 in exact arithmetic, with
-    no intermediate outside the normal floats: the float division where x*y,
-    a*b, a*b*c and the quotient are normal, else the exact quotient rounded
-    once. Past float range, or over a factor that underflowed to 0, it is inf;
-    over an infinite one, 0."""
-    if _TINY <= (n := x * y) <= _HUGE and _TINY <= (ab := a * b) <= _HUGE \
-            and _TINY <= (den := ab * c) <= _HUGE and _TINY <= (q := n / den) <= _HUGE:
-        return q
-    if math.inf in (a, b, c):
-        return 0.0
-    from fractions import Fraction
-    try:
-        return float(Fraction(x) * Fraction(y) / (Fraction(a) * Fraction(b) * Fraction(c)))
-    except (OverflowError, ZeroDivisionError):  # past float range, or over a 0 factor
-        return math.inf
 
 
 def route_latency(route: int, config: SystemConfig,
@@ -147,14 +126,14 @@ def route_latency(route: int, config: SystemConfig,
         return _ratio(bits, 1.0, se, bw)
 
     if route == 1:
-        return local_compute_latency(config)
+        return _compute_time(config, config.device.cpu_hz)
     if route == 2:
         return transfer(t.input_remote_bits, downlink_hz, downlink_spectral_efficiency(config),
-                        "downlink") + local_compute_latency(config)
+                        "downlink") + _compute_time(config, config.device.cpu_hz)
     if route == 3:
         up = transfer(t.input_local_bits, uplink_hz, uplink_spectral_efficiency(config), "uplink")
         down = transfer(t.output_bits, downlink_hz, downlink_spectral_efficiency(config), "downlink")
-        return up + server_compute_latency(config) + down
+        return up + _compute_time(config, config.server.cpu_hz) + down
     raise InvalidFieldError("route", "must be 1, 2 or 3")
 
 
@@ -165,33 +144,32 @@ def route_costs(config: SystemConfig) -> RouteCosts:
     ``DEFAULT_BANDWIDTH_CAP``.
 
     In two parts, so that a deadline or CPU sweep reruns only the second:
-    ``_link_costs`` (spectral efficiencies, a1, a2) and ``_point_costs``."""
+    ``_link_costs`` (what no deadline or device CPU changes) and ``_point_costs``."""
     return _point_costs(config, _link_costs(config), config.task.deadline_s,
                         config.device.cpu_hz)
 
 
-def _link_costs(config: SystemConfig) -> tuple[float, float, float, float]:
-    """(SE_up, SE_down, a1, a2): the part of route_costs that no deadline or CPU speed changes."""
+def _link_costs(config: SystemConfig) -> tuple[float, float, float, float, float]:
+    """(SE_up, SE_down, a1, a2, server compute time): the part of route_costs
+    that no deadline or device CPU speed changes."""
     t = config.task
     se_up = uplink_spectral_efficiency(config)
     se_down = downlink_spectral_efficiency(config)
     # transfer costs in Hz-s: inf over a dead link or past float range (see _point_costs)
     a1 = 0.0 if t.input_local_bits == 0 else t.input_local_bits / se_up if se_up > 0 else math.inf
     a2 = 0.0 if t.output_bits == 0 else t.output_bits / se_down if se_down > 0 else math.inf
-    return se_up, se_down, a1, a2
+    return se_up, se_down, a1, a2, _compute_time(config, config.server.cpu_hz)
 
 
-def _point_costs(config: SystemConfig, link: tuple[float, float, float, float],
+def _point_costs(config: SystemConfig, link: tuple[float, float, float, float, float],
                  tau: float, cpu_hz: float) -> RouteCosts:
     """route_costs of the config at deadline ``tau`` and device CPU speed
     ``cpu_hz``, given its ``_link_costs``: compute times, slack, a3, B2, B3,
     k1, k2 and the flags."""
     t = config.task
-    se_up, se_down, a1, a2 = link
-    work = (t.input_local_bits + t.input_remote_bits) * t.cycles_per_bit
-    compute_local = work / cpu_hz
-    slack = tau - compute_local
-    a3 = tau - work / config.server.cpu_hz
+    se_up, se_down, a1, a2, compute_server = link
+    compute_local = _compute_time(config, cpu_hz)
+    slack, a3 = tau - compute_local, tau - compute_server
 
     b2 = None
     if t.input_remote_bits == 0:

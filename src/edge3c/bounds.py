@@ -1,10 +1,13 @@
-"""Shared integer-boundary conventions.
+"""Shared integer-boundary conventions and range-safe arithmetic.
 
 The closed-form policy and the brute-force oracles must agree on how float
 ratios round to task counts and on when a total fits its budget, otherwise a
 value sitting within one ulp of a boundary would make the two sides disagree
 for reasons that have nothing to do with the allocation logic. All of them
 import the rules from here; the search logic on each side stays independent.
+This is also the one home of range-safe arithmetic (``_ratio``, ``_exact``):
+a quotient of config fields is the plain float expression where every
+partial result is normal, else exact in integer arithmetic, rounded once.
 """
 
 from __future__ import annotations
@@ -15,6 +18,38 @@ REL_EPS = 1e-9
 
 #: relative window within which two objective values count as tied
 TIE_REL = 1e-12
+
+_TINY, _HUGE = 2.0 ** -1022, 1.7976931348623157e308  # the least and greatest normal floats
+
+
+def _exact(num: tuple, den: tuple) -> float:
+    """The product of ``num`` over that of ``den`` (floats or ints >= 0), rounded
+    once: int true division of the multiplied-out integer ratios is correctly
+    rounded. Over a 0 or infinite factor, or past float range, it is inf."""
+    p = q = 1
+    try:
+        for x in num:
+            n, d = x.as_integer_ratio()
+            p, q = p * n, q * d
+        for x in den:
+            n, d = x.as_integer_ratio()
+            p, q = p * d, q * n
+        return p / q
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
+
+
+def _ratio(x: float, y: float, a: float, b: float, c: float = 1.0) -> float:
+    """x*y / (a*b*c) for x, y >= 0 and a, b, c > 0: the float division where
+    x*y, a*b and a*b*c are at least normal and the quotient is normal (a product
+    past float range leaves it inf, 0 or NaN), else ``_exact``. Past float range,
+    or over a factor that underflowed to 0, it is inf; over an infinite one, 0."""
+    if _TINY <= (n := x * y) and _TINY <= (ab := a * b) and _TINY <= (den := ab * c) \
+            and _TINY <= (q := n / den) <= _HUGE:
+        return q
+    if math.inf in (a, b, c):
+        return 0.0
+    return _exact((x, y), (a, b, c))
 
 
 def floor_eps(x: float) -> int:

@@ -19,6 +19,7 @@ derived per-task power draws that drive the allocation policy:
 Spectral efficiency is ``log2(1 + psd * gain^2 / noise_psd)`` in bit/s/Hz.
 A channel's ``snr_up_db`` / ``snr_down_db``, when present, sets its link's
 spectral efficiency instead, and the PSD triple of that link goes unused.
+The SNR, k1 and k2 are range-safe, as ``bounds._ratio`` is: a rejected draw is past range exactly.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import json
 import math
 from typing import NamedTuple
 
+from .bounds import _HUGE, _TINY, _exact, _ratio
 from .errors import ConfigParseError, DegenerateChannelError, InvalidConfigError, InvalidFieldError
 from .units import parse_quantity
 
@@ -75,8 +77,9 @@ class SystemConfig(NamedTuple):
 def spectral_efficiency(psd: float, gain: float, noise_psd: float) -> float:
     """bit/s/Hz of a link with the given transmit PSD over this channel.
 
-    Strictly increasing in psd; 0 exactly when the SNR rounds to 0, which for
-    any practical gain and noise floor means psd == 0.
+    Strictly increasing in psd; 0 exactly when the exact SNR rounds to 0,
+    which for any practical gain and noise floor means psd == 0. An SNR past
+    float range is taken as a sum of logarithms.
     """
     for name, v in (("psd", psd), ("gain", gain), ("noise_psd", noise_psd)):
         if not math.isfinite(v):
@@ -88,7 +91,12 @@ def spectral_efficiency(psd: float, gain: float, noise_psd: float) -> float:
     if noise_psd <= 0:
         raise InvalidFieldError("noise_psd", "must be > 0")
     # log1p keeps the result nonzero for tiny SNR, where 1 + x rounds to 1
-    return math.log1p(psd * gain * gain / noise_psd) / _LN2
+    if not (_TINY <= (snr := psd * gain) and _TINY <= (snr := snr * gain)
+            and _TINY <= (snr := snr / noise_psd) <= _HUGE):
+        snr = _exact((psd, gain, gain), (noise_psd,))
+        if snr == math.inf:  # log2(1 + SNR) is log2(SNR) to double precision
+            return (math.log(psd) + 2.0 * math.log(gain) - math.log(noise_psd)) / _LN2
+    return math.log1p(snr) / _LN2
 
 
 def snr_db_to_spectral_efficiency(snr_db: float) -> float:
@@ -132,18 +140,17 @@ def _power_draws(config: SystemConfig, tau: float, cpu_hz: float,
     """power_coefficients at deadline ``tau`` and device CPU speed ``cpu_hz``,
     given the uplink spectral efficiency (read only with local input)."""
     t, d = config.task, config.device
-    f = config.task_count
-    k1 = d.switched_capacitance * cpu_hz * cpu_hz * t.cycles_per_bit \
-        * (t.input_local_bits + t.input_remote_bits) / (tau * f)
-    if t.input_local_bits > 0:
-        if se_up <= 0:
-            raise DegenerateChannelError("uplink spectral efficiency is 0 but the local input must be uploaded")
-        denom = f * tau * se_up
-        # a denominator that underflows to 0 puts k2 past float range
-        k2 = d.uplink_psd * t.input_local_bits / denom if denom > 0 else math.inf
-    else:
-        k2 = 0.0
-    return k1, k2
+    f, mu, w = config.task_count, d.switched_capacitance, t.cycles_per_bit
+    i_total = t.input_local_bits + t.input_remote_bits
+    if not (_TINY <= (n := mu * cpu_hz) and _TINY <= (n := n * cpu_hz) and _TINY <= (n := n * w)
+            and _TINY <= (n := n * i_total) and _TINY <= (den := tau * f)
+            and _TINY <= (k1 := n / den) <= _HUGE):
+        # an I_total past float range is half of each input, which is exact, times 2
+        bits = (i_total,) if i_total <= _HUGE else (t.input_local_bits / 2 + t.input_remote_bits / 2, 2.0)
+        k1 = _exact((mu, cpu_hz, cpu_hz, w, *bits), (tau, f))
+    if t.input_local_bits > 0 and se_up <= 0:
+        raise DegenerateChannelError("uplink spectral efficiency is 0 but the local input must be uploaded")
+    return k1, _ratio(d.uplink_psd, t.input_local_bits, f, tau, se_up) if t.input_local_bits > 0 else 0.0
 
 
 # --- validation ------------------------------------------------------------
@@ -230,10 +237,9 @@ def derived_violation(config: SystemConfig) -> InvalidFieldError | None:
     """The violation of a rule on the derived power draws, or None, for a
     config whose fields each pass their own rule.
 
-    Both draws must be finite: a local input uploaded over a link whose
-    spectral efficiency underflows to 0 has no finite k2, and a huge CPU
-    speed can overflow k1. Either would give the closed form and the oracles
-    no common answer.
+    Both draws must be finite in exact arithmetic: a local input uploaded
+    over a dead link has no finite k2, and a huge CPU speed puts k1 past
+    float range. Either leaves the closed form and the oracles no common answer.
     """
     try:
         k1, k2 = power_coefficients(config)

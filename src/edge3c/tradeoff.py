@@ -32,8 +32,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .bandwidth import _link_costs, _point_costs, _ratio, route_costs
-from .bounds import cache_task_capacity
+from .bandwidth import _compute_time, _link_costs, _point_costs, route_costs
+from .bounds import _ratio, cache_task_capacity
 from .errors import InfeasibleError, InvalidFieldError, TooLargeError
 from .model import (
     SystemConfig,
@@ -107,7 +107,7 @@ def turning_points(config: SystemConfig) -> TurningPoints:
         if slack <= 0:
             absent["f1"] = "download bandwidth exceeds the offload bandwidth at every cpu speed"
         else:
-            f1 = i_total * t.cycles_per_bit / slack
+            f1 = _compute_time(config, slack)  # the work over the slack
 
     f3 = None
     f3_exact_zero = False

@@ -7,10 +7,8 @@ from edge3c import (
     DEFAULT_BANDWIDTH_CAP,
     InvalidFieldError,
     kkt_split,
-    local_compute_latency,
     route_costs,
     route_latency,
-    server_compute_latency,
 )
 from conftest import build_config
 
@@ -28,8 +26,9 @@ B2_RELAXED = 3738052.1083344998
 
 def test_latencies_constructed():
     cfg = build_config()
-    assert local_compute_latency(cfg) == 1.0     # 2 bits * 1 cyc/bit / 2 Hz
-    assert server_compute_latency(cfg) == 1.5    # 2 / (4/3)
+    assert route_latency(1, cfg) == 1.0          # 2 bits * 1 cyc/bit / 2 Hz
+    # 1 bit up at 1 Hz and SE 1, then 2 / (4/3) s at the server
+    assert route_latency(3, cfg, 1.0) == 2.5
 
 
 def test_route1_zero_or_infeasible():

@@ -28,13 +28,17 @@ Three more checks reuse the samplers:
   finite, or a typed error where a bandwidth underflowed to 0;
 - a certificate of route_costs read off route_latency alone: each route's
   flag holds exactly when the route meets the deadline, at the reported
-  bandwidths or, for a route flagged infeasible, at the bandwidth cap.
+  bandwidths or, for a route flagged infeasible, at the bandwidth cap;
+- the derived quantities against their formulas in exact arithmetic: the
+  power draws k1 and k2, where they are finite and where the validator
+  rejects them as overflowing, and each PSD-path link efficiency.
 """
 
 import math
 import random
 import sys
 from collections import Counter
+from fractions import Fraction
 from itertools import pairwise
 
 import pytest
@@ -63,6 +67,7 @@ from edge3c import (
     route_latency,
     sample_config,
     solve_optimal,
+    spectral_efficiency,
     turning_points,
     uplink_spectral_efficiency,
     validate_config,
@@ -73,6 +78,7 @@ from edge3c.bounds import (
     counts_within_power_budget,
     power_within_budget,
 )
+from edge3c.model import config_violations
 
 SEED = 20201
 COUNT = 4000
@@ -261,7 +267,6 @@ def f1_edge_config(rng: random.Random) -> SystemConfig:
 def f1_exact(config: SystemConfig):
     """f1 of a config with no local input and a positive slack, as a
     Fraction: SE_down * a2 is O exactly, so the slack is tau - a3 * I_remote / O."""
-    from fractions import Fraction
     t = config.task
     work = Fraction(t.input_remote_bits) * Fraction(t.cycles_per_bit)
     tau = Fraction(t.deadline_s)
@@ -584,4 +589,99 @@ def test_batched_power_rule_matches_the_per_count_rule_at_tolerance_edges():
             for (a, qa), (b, qb) in pairwise(capacities))
     for branch in ("solved", "power", "edge crossed", ("cache", "solved"), ("cache", "power"),
                    ("cache", "latency"), "cache edge crossed"):
+        assert seen[branch] > 0, (branch, seen)
+
+
+def exact_k1(config: SystemConfig) -> Fraction:
+    """k1 in exact arithmetic."""
+    t, d = config.task, config.device
+    return Fraction(d.switched_capacitance) * Fraction(d.cpu_hz) ** 2 * Fraction(t.cycles_per_bit) \
+        * (Fraction(t.input_local_bits) + Fraction(t.input_remote_bits)) \
+        / (Fraction(t.deadline_s) * config.task_count)
+
+
+def exact_k2(config: SystemConfig) -> Fraction:
+    """k2 in exact arithmetic over the float uplink efficiency."""
+    t = config.task
+    if t.input_local_bits == 0:
+        return Fraction(0)
+    return Fraction(config.device.uplink_psd) * Fraction(t.input_local_bits) \
+        / (config.task_count * Fraction(t.deadline_s) * Fraction(uplink_spectral_efficiency(config)))
+
+
+#: the greatest float, and the relative tolerance of a derived quantity, as Fractions
+FLOAT_MAX, DERIVED_REL = Fraction(sys.float_info.max), Fraction(1e-12)
+
+
+def matches(value: float, exact: Fraction) -> bool:
+    """Whether ``value`` is ``exact`` rounded once, or within 1e-12 of it."""
+    if exact > FLOAT_MAX:
+        return False
+    return value == float(exact) or abs(Fraction(value) - exact) <= DERIVED_REL * exact
+
+
+#: the reasons of the validator's rules on the derived power draws
+K1_OVERFLOW = "makes the local computing power k1 overflow"
+K2_OVERFLOW = "makes the uplink power k2 overflow"
+
+
+@pytest.mark.parametrize("seed, draw, valid", [(3, 14645, True), (8, 2117, True), (8, 5276, False)])
+def test_latency_certificate_where_a_link_or_the_work_leaves_float_range(seed, draw, valid):
+    # 0-based full_config draws whose uplink SNR is past float range (seed 3
+    # #14645, seed 8 #5276) or whose local work underflows (seed 8 #2117).
+    # Taken exactly, the last one's uplink power is past float range, so the
+    # validator rejects it.
+    rng = random.Random(seed)
+    for _ in range(draw):
+        full_config(rng)
+    config = full_config(rng)
+    if valid:
+        validate_config(config)
+        assert set(route_certificate(config, route_costs(config))) <= {UNDERFLOWED}
+    else:
+        assert [v.reason for v in config_violations(config)] == [K2_OVERFLOW]
+        assert exact_k2(config) > FLOAT_MAX
+
+
+@pytest.mark.parametrize("sampler, seed, count", [(wide_config, WIDE_SEED, WIDE_COUNT),
+                                                   (full_config, FULL_SEED, FULL_COUNT)])
+def test_power_draws_and_link_efficiencies_are_exact(sampler, seed, count):
+    """On the draws whose fields each pass their own rule, k1 and k2 match
+    their formulas in exact arithmetic, and a draw rejected as overflowing is
+    past float range exactly. A PSD-path efficiency is within 1e-12 of log1p
+    of the exact SNR, rounded once, over ln 2, and past float range within
+    1e-15 of the SNR's logarithm."""
+    rng = random.Random(seed)
+    seen = Counter()
+    for _ in range(count):
+        config = sampler(rng)
+        # a field's own rule fails before the rules on the draws run
+        reasons = [v.reason for v in config_violations(config)]
+        if not reasons:
+            k1, k2 = power_coefficients(config)
+            assert matches(k1, exact_k1(config)) and matches(k2, exact_k2(config)), config
+            seen["valid"] += 1
+        elif reasons == [K1_OVERFLOW]:
+            assert exact_k1(config) > FLOAT_MAX, config
+            seen["k1 past range"] += 1
+        elif reasons == [K2_OVERFLOW]:
+            assert exact_k2(config) > FLOAT_MAX, config
+            seen["k2 past range"] += 1
+        elif len(reasons) > 1 or "spectral efficiency of 0" not in reasons[0]:
+            continue
+        ch = config.channel
+        for psd, override in ((config.device.uplink_psd, ch.snr_up_db),
+                              (config.server.downlink_psd, ch.snr_down_db)):
+            if override is not None:
+                continue
+            se = spectral_efficiency(psd, ch.gain, ch.noise_psd)
+            snr = Fraction(psd) * Fraction(ch.gain) ** 2 / Fraction(ch.noise_psd)
+            if snr <= FLOAT_MAX:
+                assert relative_error(se, math.log1p(float(snr)) / math.log(2.0)) <= 1e-12, (psd, ch)
+                seen["SNR in range"] += 1
+            else:  # log(SNR) from its integer numerator and denominator
+                log2_snr = (math.log(snr.numerator) - math.log(snr.denominator)) / math.log(2.0)
+                assert relative_error(se, log2_snr) <= 1e-15, (psd, ch)
+                seen["SNR past range"] += 1
+    for branch in ("valid", "k1 past range", "k2 past range", "SNR in range", "SNR past range"):
         assert seen[branch] > 0, (branch, seen)

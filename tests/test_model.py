@@ -42,6 +42,15 @@ def test_spectral_efficiency_formula():
     assert spectral_efficiency(0.0, 1.0, 1.0) == 0.0
 
 
+def test_spectral_efficiency_past_float_range():
+    # psd * gain^2 = 1e400 overflows; the efficiency is 400 * log2(10)
+    assert spectral_efficiency(1e200, 1e100, 1.0) == 1328.771237954945
+    # psd * gain^2 = 1e-360 underflows to 0, yet the SNR is 1e-40, and
+    # log2(1 + 1e-40) is about 1.4427e-40
+    assert spectral_efficiency(1e-300, 1e-30, 1e-320) == pytest.approx(
+        1e-40 / math.log(2.0), rel=1e-12)
+
+
 def test_spectral_efficiency_rejects_bad_inputs():
     with pytest.raises(InvalidFieldError):
         spectral_efficiency(-1.0, 1.0, 1.0)

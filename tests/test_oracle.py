@@ -357,6 +357,14 @@ def outcome(solver, config):
     (dict(task_count=3, input_local_bits=1e308, input_remote_bits=0.0, output_bits=1e308,
           cycles_per_bit=1e-10, deadline_s=1e300, cpu_hz=1e-5, cache_bits=0.0, uplink_psd=1e-8),
      (0, 0, 3, 1209068010.0755665)),
+    # the work w * I_remote = 1.5e385 overflows, but the server computes it
+    # in 6.9e88 s, so a3 = 2.8e88 s; the downlink SNR 1e400 is past float
+    # range too, where SE_down = log2(1e400)
+    (dict(task_count=1, input_local_bits=0.0, input_remote_bits=8.6e91, output_bits=2.9e91,
+          cycles_per_bit=1.75e293, deadline_s=9.73e88, cpu_hz=1e10, switched_capacitance=0.0,
+          cache_bits=0.0, avg_power_w=1.0, uplink_psd=1.0, server_cpu_hz=2.17e296,
+          downlink_psd=1e200, gain=1e100, snr_up_db=None, snr_down_db=None),
+     (0, 0, 1, 0.7809822408574371)),
 ])
 def test_all_three_solvers_agree_at_the_float_edges(overrides, expected):
     cfg = build_config(**overrides)

@@ -281,7 +281,7 @@ def test_closed_form_answers_are_pinned():
     digest = hashlib.sha256()
     for config in _pinned_configs():
         digest.update(_pinned_answer(config).encode() + b"\n")
-    assert digest.hexdigest() == "0d746b645fd34522739463b00b25fbb98c03b7084a643a4153f5af5a9cb10fd6"
+    assert digest.hexdigest() == "cf39a66052fd9137f492e81355451ec381d58ac9aaa862bc3356025ed029e8ee"
 
 
 def test_baseline_answers_are_pinned():
@@ -296,4 +296,4 @@ def test_baseline_answers_are_pinned():
             else:
                 answer = repr((sol.x1, sol.x2, sol.x3, repr(sol.b_total_hz)))
             digest.update(answer.encode() + b"\n")
-    assert digest.hexdigest() == "3f4e403260ce21bf1f78d343079316ab85e8f73276edc8cc3ae784431e0ecf61"
+    assert digest.hexdigest() == "8f7bfaaf83f6d374d0686e016047d1c15c4606836a4546692de465fca286b997"

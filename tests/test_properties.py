@@ -1,6 +1,7 @@
 """Property-based checks of the algebraic invariants the solver relies on."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -25,6 +26,8 @@ finite = dict(allow_nan=False, allow_infinity=False)
        bump=st.floats(min_value=1e-6, max_value=1e6, **finite),
        gain=st.floats(min_value=1e-3, max_value=1e3, **finite),
        noise=st.floats(min_value=1e-9, max_value=1e3, **finite))
+# psd * gain^2 underflows to 0 in floats, but the SNR is 5e-317
+@example(psd=5e-324, bump=1.0, gain=0.1, noise=1e-9)
 def test_spectral_efficiency_monotone_and_zero_iff(psd, bump, gain, noise):
     lo = spectral_efficiency(psd, gain, noise)
     hi = spectral_efficiency(psd + bump, gain, noise)
@@ -32,9 +35,9 @@ def test_spectral_efficiency_monotone_and_zero_iff(psd, bump, gain, noise):
     assert hi >= lo
     if psd + bump <= 1e3 * noise / (gain * gain):
         assert hi > lo
-    # zero exactly when the SNR product itself underflows to zero: the log
-    # step must neither lose a nonzero ratio nor invent one
-    assert (lo == 0.0) == (psd * gain * gain / noise == 0.0)
+    # zero exactly when the exact SNR rounds to zero: neither a partial
+    # product nor the log step may lose a nonzero ratio or invent one
+    assert (lo == 0.0) == (float(Fraction(psd) * Fraction(gain) ** 2 / Fraction(noise)) == 0.0)
     assert spectral_efficiency(0.0, gain, noise) == 0.0
 
 

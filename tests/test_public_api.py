@@ -9,6 +9,7 @@ REMOVED = (
     "expand_assignment", "format_bits", "format_seconds", "format_watts",
     "power_saturation_cpu_hz", "route1_bandwidth", "route2_bandwidth",
     "route3_bandwidth", "route_power", "ceil_eps", "REGIME_LABELS",
+    "local_compute_latency", "server_compute_latency",
 )
 
 

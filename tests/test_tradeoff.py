@@ -197,6 +197,23 @@ def test_f3_reason_takes_the_exact_radicand_sign():
     assert "offload-only draw" in tp.absence_reasons["f3"]
 
 
+def test_turning_points_at_the_edges_of_their_branches():
+    # k2 = 1, F = 10, I_remote = 1 and C = 3.5 bits: f3's radicand has the
+    # sign of (Pbar - 10) / 3.5 + 1, which is exactly 0 at Pbar = 6.5, where
+    # the crossing sits at 0 Hz, also where the float terms do not cancel
+    for mu in (5.0, 0.1):
+        tp = turning_points(build_config(avg_power_w=6.5, switched_capacitance=mu))
+        assert tp.f3_hz == 0.0 and "f3" not in tp.absence_reasons, mu
+    # at Pbar = 8.25 the terms have opposite signs and the exact sign is
+    # 0.5: the radicand is -1 + 2 = 1
+    assert turning_points(build_config(avg_power_w=8.25)).f3_hz == 1.0
+    # no input bits: mu and w are positive, but local computing draws no power
+    tp = turning_points(build_config(input_local_bits=0.0, input_remote_bits=0.0))
+    assert tp.f2_hz is None and "never saturates" in tp.absence_reasons["f2"]
+    # half a bit of cache is not empty: the radicand is 20 + 2
+    assert turning_points(build_config(cache_bits=0.5)).f3_hz == math.sqrt(22.0)
+
+
 def test_grid_values_exact():
     lin = grid_values(SweepSpec("avg_power_w", 0.0, 1.0, 3).validate())
     assert lin == [0.0, 0.5, 1.0]
