@@ -6,8 +6,9 @@ value sitting within one ulp of a boundary would make the two sides disagree
 for reasons that have nothing to do with the allocation logic. All of them
 import the rules from here; the search logic on each side stays independent.
 This is also the one home of range-safe arithmetic (``_ratio``, ``_exact``):
-a quotient of config fields is the plain float expression where every
-partial result is normal, else exact in integer arithmetic, rounded once.
+a quotient of config fields, or its square root, is the plain float
+expression where every partial result is normal, else exact in integer
+arithmetic, rounded once.
 """
 
 from __future__ import annotations
@@ -22,10 +23,11 @@ TIE_REL = 1e-12
 _TINY, _HUGE = 2.0 ** -1022, 1.7976931348623157e308  # the least and greatest normal floats
 
 
-def _exact(num: tuple, den: tuple) -> float:
-    """The product of ``num`` over that of ``den`` (floats or ints >= 0), rounded
-    once: int true division of the multiplied-out integer ratios is correctly
-    rounded. Over a 0 or infinite factor, or past float range, it is inf."""
+def _exact(num: tuple, den: tuple, root: bool = False) -> float:
+    """The product of ``num`` over that of ``den`` (floats, ints or Fractions
+    >= 0), or with ``root`` its square root, rounded once: int true division
+    of the multiplied-out integer ratios is correctly rounded. Over a 0 or
+    infinite factor, or past float range, it is inf."""
     p = q = 1
     try:
         for x in num:
@@ -34,6 +36,13 @@ def _exact(num: tuple, den: tuple) -> float:
         for x in den:
             n, d = x.as_integer_ratio()
             p, q = p * d, q * n
+        if root:  # the integer root r of p/q * 4**s has 58 bits or more; with a sticky
+            # last bit, set where that root is inexact, r / 2**s rounds as the root does
+            s = 58 - (p.bit_length() - q.bit_length()) // 2
+            n, rem = divmod(p << max(2 * s, 0), q << max(-2 * s, 0))
+            r = math.isqrt(n)
+            r |= rem != 0 or r * r != n
+            p, q = r << max(-s, 0), 1 << max(s, 0)
         return p / q
     except (OverflowError, ZeroDivisionError):
         return math.inf

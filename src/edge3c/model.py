@@ -165,12 +165,6 @@ def _nonneg(x) -> str | None:
     return "must be >= 0" if x < 0 else None
 
 
-def _pos(x) -> str | None:
-    if not _finite(x):
-        return "must be a finite number"
-    return "must be > 0" if x <= 0 else None
-
-
 def _finite_pos(x) -> str | None:
     return None if _finite(x) and x > 0 else "must be a finite number > 0"
 
@@ -205,11 +199,11 @@ _FIELDS = (
         ("cycles_per_bit", "dimensionless", _nonneg),
         ("deadline_s", "seconds", _finite_pos))),
     ("device", DeviceParams, (
-        ("cpu_hz", "hz", _pos),
+        ("cpu_hz", "hz", _finite_pos),
         ("switched_capacitance", "dimensionless", _nonneg),
         ("cache_bits", "bits", _nonneg),
-        ("avg_power_w", "watts", _pos),
-        ("uplink_psd", "watts_per_hz", _pos))),
+        ("avg_power_w", "watts", _finite_pos),
+        ("uplink_psd", "watts_per_hz", _finite_pos))),
     ("server", ServerParams, (
         ("cpu_hz", "hz", _finite_pos),
         ("downlink_psd", "watts_per_hz", _finite_pos))),

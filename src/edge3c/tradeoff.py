@@ -33,7 +33,7 @@ import math
 from typing import NamedTuple
 
 from .bandwidth import _compute_time, _link_costs, _point_costs, route_costs
-from .bounds import _ratio, cache_task_capacity
+from .bounds import _HUGE, _TINY, _exact, _ratio, cache_task_capacity
 from .errors import InfeasibleError, InvalidFieldError, TooLargeError
 from .model import (
     SystemConfig,
@@ -74,20 +74,25 @@ class TurningPoints(NamedTuple):
 
 
 def turning_points(config: SystemConfig) -> TurningPoints:
-    """The up-to-three cpu-speed turning points of the config's bandwidth curve."""
+    """The up-to-three cpu-speed turning points of the config's bandwidth curve, each the float
+    expression where every partial result is normal, else the exact value rounded once."""
     validate_config(config)
     t, d = config.task, config.device
-    tau, f, pbar, mu = t.deadline_s, config.task_count, d.avg_power_w, d.switched_capacitance
+    tau, f, pbar, mu, w = t.deadline_s, config.task_count, d.avg_power_w, d.switched_capacitance, t.cycles_per_bit
     i_total = t.input_local_bits + t.input_remote_bits
+    # an I_total past float range is half of each input, which is exact, times 2
+    bits = (i_total,) if i_total <= _HUGE else (t.input_local_bits / 2 + t.input_remote_bits / 2, 2.0)
     costs = route_costs(config)
     absent: dict[str, str] = {}
-    no_dynamic_power = mu <= 0 or t.cycles_per_bit <= 0 or i_total <= 0
+    no_dynamic_power = mu <= 0 or w <= 0 or i_total <= 0
 
     f2 = None
     if no_dynamic_power:
         absent["f2"] = "local computing draws no dynamic power: the budget never saturates"
+    elif _TINY <= (radicand := _ratio(tau, pbar, mu, w, i_total)) <= _HUGE:
+        f2 = math.sqrt(radicand)
     else:
-        f2 = math.sqrt(_ratio(tau, pbar, mu, t.cycles_per_bit, i_total))
+        f2 = _exact((tau, pbar), (mu, w, *bits), root=True)
 
     f1 = None
     if t.input_remote_bits <= 0:
@@ -109,8 +114,7 @@ def turning_points(config: SystemConfig) -> TurningPoints:
         else:
             f1 = _compute_time(config, slack)  # the work over the slack
 
-    f3 = None
-    f3_exact_zero = False
+    f3 = exact = None
     if t.input_remote_bits <= 0:
         absent["f3"] = "no remote input: the cache bound never binds"
     elif d.cache_bits <= 0:
@@ -118,46 +122,34 @@ def turning_points(config: SystemConfig) -> TurningPoints:
     elif no_dynamic_power:
         absent["f3"] = "local computing draws no dynamic power: the cache bound never meets it"
     else:
-        k2, denom = costs.k2, mu * t.cycles_per_bit * i_total  # the dynamic-power factor
-        denom_c = denom * d.cache_bits
-        # the radicand's two terms; the second is >= 0
-        term1 = math.nan if denom_c == 0 else \
-            tau * f * (pbar - f * k2) * t.input_remote_bits / denom_c
-        term2 = math.nan if denom == 0 else tau * f * k2 / denom
-        radicand = term1 + term2
-        if not radicand > 0 or math.copysign(1.0, term1) != math.copysign(1.0, term2):
-            # terms of opposite signs, or one that under- or overflowed, can
-            # give the float sum the wrong sign: the radicand has the sign of
-            # (Pbar - F*k2) * I_remote / C + k2, taken exactly
-            from fractions import Fraction
-            sign = (Fraction(pbar) - f * Fraction(k2)) * Fraction(t.input_remote_bits) \
-                / Fraction(d.cache_bits) + Fraction(k2)
-            f3_exact_zero = sign == 0
-            if sign <= 0:
-                radicand = -math.inf if sign < 0 else 0.0
-            elif not radicand >= 0:
-                # a NaN or negative sum of a positive radicand: a term past
-                # float range, as with a denominator that underflowed to 0
-                radicand = math.inf
-        if radicand < 0:
-            absent["f3"] = "power budget below the offload-only draw: no speed balances cache and power"
-        else:
+        # tau*F/(mu*w*I_total) * ((Pbar - F*k2)*I_remote/C + k2), as two terms
+        k2, head, mu_w = costs.k2, tau * f, mu * w
+        den = mu_w * i_total
+        den_c, signed = den * d.cache_bits, head * (pbar - f * k2)
+        num = signed * t.input_remote_bits  # the first term's numerator, of the sign of Pbar - F*k2
+        partials = (head, mu_w, den, den_c, abs(signed), abs(num)) + ((f * k2, head * k2) if k2 else ())
+        normal = all(_TINY <= x <= _HUGE for x in partials) \
+            and _TINY <= (radicand := num / den_c + head * k2 / den) <= _HUGE
+        if normal and num > 0:
             f3 = math.sqrt(radicand)
+        else:  # the exact radicand over its positive factor tau*F/(mu*w*I_total)
+            from fractions import Fraction
+            exact = (Fraction(pbar) - f * Fraction(k2)) * Fraction(t.input_remote_bits) \
+                / Fraction(d.cache_bits) + Fraction(k2)
+            if exact < 0:
+                absent["f3"] = "power budget below the offload-only draw: no speed balances cache and power"
+            else:  # a normal float sum of an exactly positive radicand is kept
+                f3 = math.sqrt(radicand) if normal and exact > 0 \
+                    else _exact((tau, f, exact), (mu, w, *bits), root=True)
 
-    points = {"f1": f1, "f2": f2, "f3": f3}
-    # f1 of tasks that take no cycles and f3 of an exactly-0 radicand are 0
-    # in exact arithmetic; any other 0 is an underflow
-    exact_zero = {"f1": t.cycles_per_bit == 0, "f3": f3_exact_zero}
-    for name, hz in points.items():
-        if hz is not None and not math.isfinite(hz):
-            points[name] = None
+    # 0 Hz is exact for f1 of tasks that take no cycles and f3 of an exactly-0 radicand
+    exact_zero = {"f1": w == 0, "f3": exact == 0}
+    for name, hz in (points := {"f1": f1, "f2": f2, "f3": f3}).items():
+        if hz == math.inf:
             absent[name] = "the crossing lies beyond float range: no finite cpu speed reaches it"
         elif hz == 0 and not exact_zero.get(name):
-            points[name] = None
-            absent[name] = "below float range: the crossing's cpu speed is positive, " \
-                           "but its float evaluation underflows to 0"
-    return TurningPoints(f1_hz=points["f1"], f2_hz=points["f2"], f3_hz=points["f3"],
-                         absence_reasons=absent)
+            absent[name] = "below float range: the crossing's cpu speed is positive but rounds to 0 Hz"
+    return TurningPoints(*(None if name in absent else hz for name, hz in points.items()), absent)
 
 
 class SweepSpec(NamedTuple):
@@ -197,12 +189,17 @@ class SweepRow(NamedTuple):
 
 
 def grid_values(spec: SweepSpec) -> list[float]:
-    n = spec.steps
-    if spec.log_scale:
-        ratio = (spec.stop / spec.start) ** (1.0 / (n - 1))
-        return [spec.start * ratio ** i for i in range(n)]
-    step = (spec.stop - spec.start) / (n - 1)
-    return [spec.start + step * i for i in range(n)]
+    n, a, b, log = spec.steps, spec.start, spec.stop, spec.log_scale
+    try:  # a float ** past float range raises
+        step = (b / a) ** (1.0 / (n - 1)) if log else (b - a) / (n - 1)  # a factor on a log scale
+        values = [a * step ** i if log else a + step * i for i in range(n)]
+        if values[-1] <= _HUGE:
+            return values
+    except OverflowError:
+        pass
+    # past float range: the weighted geometric or arithmetic mean of the ends, kept between them
+    return [min(b, max(a, a ** (1 - s) * b ** s if log else a * (1 - s) + b * s))
+            for s in (i / (n - 1) for i in range(n))]
 
 
 def sweep(config: SystemConfig, spec: SweepSpec) -> list[SweepRow]:

@@ -84,33 +84,44 @@ def test_turning_points_shape(capsys):
 
 
 #: reference.json overrides that put a turning point at a float edge, and the
-#: reason expected under "absent" for each point left out
+#: reason expected under "absent" for each point left out; every other point
+#: is printed, and positive. Each float-range reason is true of the speed
+#: itself, in exact arithmetic.
 FLOAT_EDGE_CASES = {
-    # a subnormal switched capacitance puts f2 and f3 past float range
-    "tiny_mu": ({"device": {"switched_capacitance": 1e-320}},
-                {"f2": "float range", "f3": "float range"}),
+    # a subnormal switched capacitance puts f2's float radicand past float
+    # range, but f2 and f3 are about 1.7e156 and 2.1e156 Hz
+    "tiny_mu": ({"device": {"switched_capacitance": 1e-320}}, {}),
     # f1's se_down * (sqrt(a1) + sqrt(a2))^2 underflows to 0
     "f1_underflow": ({"task": {"input_local_bits": 1e-200, "output_bits": 0},
                       "channel": {"snr_down_db": -1500}},
                      {"f1": "exceeds the offload bandwidth"}),
-    # mu * w * I_total underflows to 0
+    # mu * w * I_total underflows to 0, yet f2 is about 5.4e161 Hz
     "f2_underflow": ({"device": {"switched_capacitance": 1e-320},
-                      "task": {"cycles_per_bit": 1e-10}},
-                     {"f2": "float range", "f3": "float range"}),
-    # the two terms of f3's radicand overflow with opposite signs
+                      "task": {"cycles_per_bit": 1e-10}}, {}),
+    # the two terms of f3's float radicand overflow with opposite signs; the
+    # exact one is negative
     "f3_nan_radicand": ({"device": {"switched_capacitance": 1e-310, "avg_power_w": 1e-3},
                          "task": {"cycles_per_bit": 1e-10}},
-                        {"f2": "float range", "f3": "offload-only draw"}),
-    # w * I_total / slack underflows to 0
+                        {"f3": "offload-only draw"}),
+    # w * I_total / slack is about 1.7e-333 Hz; f2 and f3 are about 4.5e180
+    # and 5.6e180 Hz
     "f1_below_range": ({"task": {"cycles_per_bit": 1e-320, "deadline_s": 1e20}},
-                       {"f1": "below float range", "f2": "float range", "f3": "float range"}),
-    # tau * Pbar underflows to 0
-    "f2_below_range": ({"task": {"deadline_s": 1e-200}, "device": {"avg_power_w": 1e-200}},
+                       {"f1": "below float range"}),
+    # f2 and f3 are about 1.7e309 and 2.1e309 Hz
+    "f2_f3_beyond_range": ({"device": {"switched_capacitance": 1e-320},
+                            "task": {"cycles_per_bit": 1e-305}},
+                           {"f2": "beyond float range", "f3": "beyond float range"}),
+    # f2 is about 2.4e-404 Hz; a tiny cpu speed keeps k1 finite
+    "f2_below_range": ({"task": {"deadline_s": 1e-300, "cycles_per_bit": 1e100},
+                        "device": {"avg_power_w": 1e-300, "switched_capacitance": 1e100,
+                                   "cpu_hz": 1e-100}},
                        {"f1": "offload route infeasible", "f2": "below float range",
                         "f3": "offload-only draw"}),
-    # with k2 = 0, both terms of f3's radicand underflow to 0
-    "f3_below_range": ({"task": {"input_local_bits": 0, "deadline_s": 1e-200},
-                        "device": {"avg_power_w": 1e-200}},
+    # with k2 = 0, f3 is about 3.1e-404 Hz
+    "f3_below_range": ({"task": {"input_local_bits": 0, "deadline_s": 1e-300,
+                                 "cycles_per_bit": 1e100},
+                        "device": {"avg_power_w": 1e-300, "switched_capacitance": 1e100,
+                                   "cpu_hz": 1e-100}},
                        {"f1": "offload route infeasible", "f2": "below float range",
                         "f3": "below float range"}),
 }
@@ -305,9 +316,11 @@ def test_import_loads_neither_dataclasses_nor_the_pool():
 
 
 def test_loading_a_config_needs_neither_pathlib_nor_the_warning_machinery():
-    # linecache and tokenize come with the first warning shown
+    # linecache and tokenize come with the first warning shown, and fractions
+    # with f3's exact radicand, which only a config at the float edges takes
     commands = [c for config in SHIPPED_CONFIGS for c in config_commands(config)]
-    assert not modules_loaded_by(*commands, clean=True) & {"pathlib", "linecache", "tokenize"}
+    assert not modules_loaded_by(*commands, clean=True) & {"pathlib", "linecache", "tokenize",
+                                                           "fractions"}
 
 
 @pytest.mark.parametrize("config", SHIPPED_CONFIGS, ids=lambda path: path.stem)

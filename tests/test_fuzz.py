@@ -13,7 +13,8 @@ positive, or absent, and, for F up to 200, that the closed form matches the
 lattice oracle and no baseline beats the optimum; above F = 200 it compares
 the closed form with the lattice oracle on every tenth valid draw. The
 turning-point check also draws f1_edge_config, whose f1 lies near the top
-of the float range, and compares f1 with its value in exact arithmetic.
+of the float range, and compares f1 with its value in exact arithmetic; on
+the wide and the full-range draws, f2 and f3 are compared with theirs.
 
 A third sampler, full_config, draws magnitudes over the whole float range,
 subnormals and exact float edges included. On it the closed form must match
@@ -275,6 +276,44 @@ def f1_exact(config: SystemConfig):
     return work / slack
 
 
+def squared_speed_per_watt(config: SystemConfig) -> Fraction:
+    """tau / (mu * w * I_total) as a Fraction: all F tasks computed locally
+    draw P watts at the cpu speed whose square is this times P."""
+    t, d = config.task, config.device
+    return Fraction(t.deadline_s) / (Fraction(d.switched_capacitance) * Fraction(t.cycles_per_bit)
+                                     * (Fraction(t.input_local_bits) + Fraction(t.input_remote_bits)))
+
+
+def f2_exact(config: SystemConfig) -> Fraction:
+    """f2 squared, tau * Pbar / (mu * w * I_total), as a Fraction."""
+    return squared_speed_per_watt(config) * Fraction(config.device.avg_power_w)
+
+
+def f3_exact(config: SystemConfig) -> Fraction:
+    """f3 squared, tau * F * ((Pbar - F*k2) * I_remote / C + k2) / (mu * w *
+    I_total), as a Fraction, with k2 as route_costs gives it."""
+    f, d, k2 = config.task_count, config.device, Fraction(route_costs(config).k2)
+    return squared_speed_per_watt(config) * f * ((Fraction(d.avg_power_w) - f * k2)
+                                                 * Fraction(config.task.input_remote_bits)
+                                                 / Fraction(d.cache_bits) + k2)
+
+
+def true_of_the_square(hz: float | None, reason: str, squared: Fraction) -> bool:
+    """Whether a turning point is true of its exact square: a printed speed
+    within 2 ulps of its root, "beyond float range" of a root that rounds
+    to inf (at least the greatest float plus half its ulp), "below float
+    range" of a positive root that rounds to 0 (at most half the least
+    positive float), and the offload-only reason of a negative square."""
+    if "beyond float range" in reason:
+        return squared >= (FLOAT_MAX + 2 ** 970) ** 2
+    if "below float range" in reason:
+        return 0 < squared <= Fraction(1, 2 ** 2150)
+    if "offload-only draw" in reason:
+        return squared < 0
+    ulps = 2 * Fraction(math.ulp(hz))
+    return max(Fraction(hz) - ulps, 0) ** 2 <= squared <= (Fraction(hz) + ulps) ** 2
+
+
 def test_turning_points_return_on_wide_range_configs():
     rng, edge_rng = random.Random(WIDE_SEED), random.Random(WIDE_SEED + 4)
     seen = Counter()
@@ -308,6 +347,26 @@ def test_turning_points_return_on_wide_range_configs():
         for outcome in ("finite", "beyond float range", "below float range", "no crossing"):
             assert seen[name, outcome] > 0, seen
     assert seen["f1 edge"] > F1_EDGE_COUNT // 2, seen
+
+
+@pytest.mark.parametrize("sampler, seed, count", [(wide_config, WIDE_SEED, WIDE_COUNT),
+                                                   (full_config, FULL_SEED, FULL_COUNT)])
+def test_turning_points_f2_and_f3_are_exact(sampler, seed, count):
+    """Every printed f2 and f3 is within 2 ulps of its formula in exact
+    arithmetic, and every float-range or offload-only reason is true of it."""
+    seen = Counter()
+    for config in valid_draws(sampler, seed, count):
+        tp = turning_points(config)
+        for name, hz, exact in (("f2", tp.f2_hz, f2_exact), ("f3", tp.f3_hz, f3_exact)):
+            reason = tp.absence_reasons.get(name, "")
+            if hz is None and not ("float range" in reason or "offload-only draw" in reason):
+                continue  # no dynamic power, no remote input or an empty cache
+            assert true_of_the_square(hz, reason, exact(config)), (name, hz, reason, config)
+            seen[name, "finite" if hz is not None else reason.split(":")[0]] += 1
+    for name in ("f2", "f3"):
+        for outcome in ("finite", "the crossing lies beyond float range", "below float range"):
+            assert seen[name, outcome] > 0, seen
+    assert seen["f3", "power budget below the offload-only draw"] > 0, seen
 
 
 # a power draw past float range overflows to inf, which the budget rule

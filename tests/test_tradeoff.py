@@ -1,5 +1,7 @@
+import hashlib
 import math
 import random
+import sys
 from collections import Counter
 
 import numpy as np
@@ -19,6 +21,7 @@ from edge3c import (
     replace_field,
     route_costs,
     rows_to_csv,
+    sample_config,
     solve_optimal,
     sweep,
     turning_points,
@@ -172,6 +175,15 @@ def test_absence_reasons():
                                      input_local_bits=1e100, input_remote_bits=1e100))
     assert tp.f2_hz == pytest.approx(math.sqrt(15e220), rel=1e-15)
 
+    # I_local + I_remote = 3.4e308 overflows, yet f2 = sqrt(15 / (1e-310 * 3.4e308))
+    # is 21.00420126042014678... Hz (40 digits); f3's exact radicand is negative
+    tp = turning_points(build_config(input_local_bits=1.7e308, input_remote_bits=1.7e308,
+                                     cycles_per_bit=1e-300, switched_capacitance=1e-10,
+                                     cpu_hz=1e10, server_cpu_hz=1e10, output_bits=0.0,
+                                     uplink_psd=1e-300, cache_bits=1e308, deadline_s=1.0))
+    assert tp.f2_hz == 21.004201260420146 and "f2" not in tp.absence_reasons
+    assert tp.f3_hz is None and "offload-only draw" in tp.absence_reasons["f3"]
+
     # tasks that take no cycles: download undercuts offload at every speed,
     # so the crossing sits at exactly 0 Hz, which is kept
     tp = turning_points(build_config(cycles_per_bit=0.0, input_remote_bits=0.5))
@@ -214,11 +226,45 @@ def test_turning_points_at_the_edges_of_their_branches():
     assert turning_points(build_config(cache_bits=0.5)).f3_hz == math.sqrt(22.0)
 
 
+def test_turning_points_in_float_range_are_pinned():
+    # where every partial result is normal, each point is its plain float
+    # expression; the exact path must not move these: sample_config seeds
+    # 0-2 x trials 0-999, and the valid ones of 2,000 fuzz_config draws at
+    # each of two seeds
+    configs = [sample_config(seed, trial) for seed in range(3) for trial in range(1000)]
+    for seed in (20201, 20204):
+        rng = random.Random(seed)
+        configs += [c for c in (fuzz_config(rng) for _ in range(2000))
+                    if not edge3c.model.config_violations(c)]
+    digest = hashlib.sha256()
+    for config in configs:
+        digest.update(repr(turning_points(config)).encode() + b"\n")
+    assert len(configs) == 7000
+    assert digest.hexdigest() == "f1dc7c63845ee11d22ed76cc07f03a91b2473a4b9ac0939abbdc851e4189a47e"
+
+
 def test_grid_values_exact():
     lin = grid_values(SweepSpec("avg_power_w", 0.0, 1.0, 3).validate())
     assert lin == [0.0, 0.5, 1.0]
     log = grid_values(SweepSpec("avg_power_w", 1.0, 16.0, 5, log_scale=True).validate())
     assert log == [1.0, 2.0, 4.0, 8.0, 16.0]
+
+
+@pytest.mark.parametrize("start, stop, log_scale, expected", [
+    # stop / start = 1e600 overflows
+    (1e-300, 1e300, True, [1e-300, 1.0, 1e300]),
+    # stop - start = 3.4e308 overflows
+    (-1.7e308, 1.7e308, False, [-1.7e308, 0.0, 1.7e308]),
+    # the quotient is finite, but the top value rounds past float range
+    (2.3991624567299716e+209, sys.float_info.max, True,
+     [2.3991624567299716e+209, 6.567311381290578e+258, sys.float_info.max]),
+])
+def test_grid_values_past_float_range(start, stop, log_scale, expected, reference_config):
+    spec = SweepSpec("cache_bits", start, stop, 3, log_scale=log_scale).validate()
+    assert grid_values(spec) == expected
+    rows = sweep(reference_config, spec)
+    assert [r.value for r in rows] == expected
+    assert "inf" not in rows_to_csv(rows) and "nan" not in rows_to_csv(rows)
 
 
 def test_sweep_spec_validation():
