@@ -116,14 +116,12 @@ def _cmd_solve(args) -> str:
 def _cmd_sweep(args) -> str:
     config = load_config(args.config)
     dim = _FIELD_SPECS[SWEEP_PARAMETERS[args.param]][0]
-    baselines = tuple(b for b in args.baselines.split(",") if b)
     spec = SweepSpec(parameter=args.param,
                      start=parse_quantity(args.start, dim, "start"),
                      stop=parse_quantity(args.stop, dim, "stop"),
-                     steps=args.steps, baselines=baselines,
+                     steps=args.steps, baselines=tuple(b for b in args.baselines.split(",") if b),
                      log_scale=args.log_scale)
-    rows = sweep(config, spec)
-    return rows_to_csv(rows, baselines)
+    return rows_to_csv(sweep(config, spec))
 
 
 def _cmd_regions(args) -> str:

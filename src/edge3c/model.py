@@ -299,12 +299,9 @@ def config_from_dict(raw: dict) -> SystemConfig:
         if key not in known_top:
             violations.append(InvalidFieldError(key, "unknown top-level field"))
 
-    task_count = raw.get("task_count")
+    task_count = raw.get("task_count")  # any other value is config_violations' to judge
     if task_count is None:
         violations.append(InvalidFieldError("task_count", "missing"))
-        task_count = 1
-    elif not isinstance(task_count, int) or isinstance(task_count, bool):
-        violations.append(InvalidFieldError("task_count", "must be a JSON integer"))
         task_count = 1
 
     sections = {}

@@ -26,6 +26,11 @@ from .parallel import ordered_map
 #: largest ``trials`` run_verification accepts: ten times the paper's
 #: 10,000-config check, holding about 20 MiB of per-trial results
 MAX_TRIALS = 100_000
+#: largest task count F the lattice oracle and the per-task oracle accept
+LATTICE_MAX_F = 2000
+PER_TASK_MAX_F = 10
+#: relative tolerance of the golden-section bandwidth split
+SPLIT_RTOL = 1e-8
 
 
 class OracleSolution(NamedTuple):
@@ -36,8 +41,7 @@ class OracleSolution(NamedTuple):
     num_optima: int  # count of objective-tied count vectors (within TIE_REL)
 
 
-def enumerate_optimal(config: SystemConfig, limit: int = 2000,
-                      costs: RouteCosts | None = None) -> OracleSolution:
+def enumerate_optimal(config: SystemConfig, *, costs: RouteCosts | None = None) -> OracleSolution:
     """Exhaustive minimum over all count triples (x1, x2, x3) summing to F.
 
     Covers the box of (x1, x2) rows and columns that the one-coordinate
@@ -59,8 +63,8 @@ def enumerate_optimal(config: SystemConfig, limit: int = 2000,
     if costs is None:
         validate_config(config)
     f = config.task_count
-    if f > limit:
-        raise TooLargeError("task_count", f, limit)
+    if f > LATTICE_MAX_F:
+        raise TooLargeError("task_count", f, LATTICE_MAX_F)
     if costs is None:
         costs = route_costs(config)
 
@@ -113,7 +117,7 @@ def enumerate_optimal(config: SystemConfig, limit: int = 2000,
                           b_total_hz=best, num_optima=ties)
 
 
-def enumerate_per_task(config: SystemConfig, limit: int = 10) -> OracleSolution:
+def enumerate_per_task(config: SystemConfig) -> OracleSolution:
     """Exhaustive minimum over all 3^F per-task route assignments.
 
     Validates the reduction from per-task decisions to counts: constraints are
@@ -121,8 +125,8 @@ def enumerate_per_task(config: SystemConfig, limit: int = 10) -> OracleSolution:
     """
     validate_config(config)
     f = config.task_count
-    if f > limit:
-        raise TooLargeError("task_count", f, limit)
+    if f > PER_TASK_MAX_F:
+        raise TooLargeError("task_count", f, PER_TASK_MAX_F)
     costs = route_costs(config)
     t = config.task
     budget = config.device.avg_power_w
@@ -175,11 +179,9 @@ def relative_error(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b))
 
 
-def run_verification(trials: int = 1000, seed: int = 0,
-                     threads: int | None = None, tolerance: float = 1e-9) -> dict:
+def run_verification(trials: int = 1000, seed: int = 0, tolerance: float = 1e-9) -> dict:
     """Compare the closed-form policy against the enumeration oracle on
-    ``trials`` stratified random configs; deterministic for a given seed
-    regardless of worker count.
+    ``trials`` stratified random configs; deterministic for a given seed.
 
     ``trials`` must lie in [1, MAX_TRIALS] and ``seed`` must be >= 0; both
     are checked before any config is drawn.
@@ -201,7 +203,7 @@ def run_verification(trials: int = 1000, seed: int = 0,
         reference = enumerate_optimal(config, costs=costs)
         return relative_error(solved.b_total_hz, reference.b_total_hz), solved.regime.label
 
-    results = ordered_map(one, range(trials), threads)
+    results = ordered_map(one, range(trials))
     regimes: dict[str, int] = {}
     for _, label in results:
         regimes[label] = regimes.get(label, 0) + 1
@@ -220,14 +222,13 @@ def run_verification(trials: int = 1000, seed: int = 0,
     }
 
 
-def numeric_bandwidth_split(a1: float, a2: float, a3: float,
-                            rtol: float = 1e-8) -> tuple[float, float]:
+def numeric_bandwidth_split(a1: float, a2: float, a3: float) -> tuple[float, float]:
     """Golden-section search for the bandwidth-minimal (uplink, downlink) split.
 
     The downlink share is solved from the tight latency constraint
     ``a1/bu + a2/bd = a3``, leaving a one-dimensional convex problem in bu on
     (a1/a3, infinity); the optimum lies below 2*(a1+a2)/a3 because that value
-    is already achievable. Converges to relative tolerance ``rtol``.
+    is already achievable. Converges to relative tolerance ``SPLIT_RTOL``.
     """
     if not (a1 >= 0 and a2 >= 0):
         raise InvalidFieldError("a1/a2", "must be >= 0")
@@ -249,7 +250,7 @@ def numeric_bandwidth_split(a1: float, a2: float, a3: float,
     m1 = hi - invphi * (hi - lo)
     m2 = lo + invphi * (hi - lo)
     f1, f2 = total(m1), total(m2)
-    while (hi - lo) > rtol * max(1.0, abs(lo) + abs(hi)) / 2.0:
+    while (hi - lo) > SPLIT_RTOL * max(1.0, abs(lo) + abs(hi)) / 2.0:
         if f1 <= f2:
             hi, m2, f2 = m2, m1, f1
             m1 = hi - invphi * (hi - lo)

@@ -269,15 +269,17 @@ def sweep(config: SystemConfig, spec: SweepSpec) -> list[SweepRow]:
     return rows
 
 
-def rows_to_csv(rows: list[SweepRow], baselines: tuple[str, ...] = ()) -> str:
+def rows_to_csv(rows: list[SweepRow]) -> str:
     """Fixed-schema CSV: param,value,x1,x2,x3,b_total_hz,b_avg_hz,regime, then
-    one <baseline>_hz column per requested baseline; INF marks infeasible cells.
+    one <baseline>_hz column per key of the first row's baselines, in order;
+    INF marks infeasible cells.
 
     Floats use repr() (shortest round-trip), keeping output byte-stable. A
     row whose solution is the previous row's object and whose baselines
     equal the previous row's reuses that row's result cells (equal floats
     format alike, bar the sign of a zero, which no bandwidth total has).
     """
+    baselines = tuple(rows[0].baselines) if rows else ()
     header = ["param", "value", "x1", "x2", "x3", "b_total_hz", "b_avg_hz", "regime"]
     header += [f"{kind}_hz" for kind in baselines]
     lines = [",".join(header)]

@@ -330,13 +330,6 @@ def test_shipped_configs_run_with_nothing_on_stderr(config):
         assert (res.returncode, res.stderr) == (0, b""), argv
 
 
-def test_bad_thread_env_rejected():
-    res = run_cli("verify", "--trials", "2", "--seed", "0",
-                  env_extra={"EDGE3C_THREADS": "zero"})
-    assert res.returncode == 1
-    assert json.loads(res.stdout)["error"] == "invalid_field"
-
-
 def strict_json(text):
     """json.loads that refuses the non-standard NaN and Infinity tokens."""
     def refuse(token):

@@ -349,13 +349,23 @@ def test_turning_points_return_on_wide_range_configs():
     assert seen["f1 edge"] > F1_EDGE_COUNT // 2, seen
 
 
-@pytest.mark.parametrize("sampler, seed, count", [(wide_config, WIDE_SEED, WIDE_COUNT),
-                                                   (full_config, FULL_SEED, FULL_COUNT)])
+@pytest.mark.parametrize("sampler, seed, count", [
+    (wide_config, WIDE_SEED, WIDE_COUNT),
+    (full_config, FULL_SEED, FULL_COUNT),
+    # the one in-range draw sample_config(2, 485), where F = 4, Pbar = 0.0166 W
+    # and F*k2 = 0.0411 W: f3's float sum cancels and prints 197372.39417893725
+    # Hz, 264 ulps below the correctly rounded 197372.39417894493 Hz
+    pytest.param(sample_config, 2, 485, marks=pytest.mark.xfail(strict=True, reason=(
+        "CHANGES.md FOUND: turning_points keeps f3's float sum on in-range configs, "
+        "and that sum loses digits where its terms cancel"))),
+])
 def test_turning_points_f2_and_f3_are_exact(sampler, seed, count):
     """Every printed f2 and f3 is within 2 ulps of its formula in exact
-    arithmetic, and every float-range or offload-only reason is true of it."""
+    arithmetic, and every float-range or offload-only reason is true of it.
+    A sample_config case checks its one draw, trial ``count`` of ``seed``."""
     seen = Counter()
-    for config in valid_draws(sampler, seed, count):
+    ranged = sampler is not sample_config
+    for config in valid_draws(sampler, seed, count) if ranged else [sample_config(seed, count)]:
         tp = turning_points(config)
         for name, hz, exact in (("f2", tp.f2_hz, f2_exact), ("f3", tp.f3_hz, f3_exact)):
             reason = tp.absence_reasons.get(name, "")
@@ -363,6 +373,8 @@ def test_turning_points_f2_and_f3_are_exact(sampler, seed, count):
                 continue  # no dynamic power, no remote input or an empty cache
             assert true_of_the_square(hz, reason, exact(config)), (name, hz, reason, config)
             seen[name, "finite" if hz is not None else reason.split(":")[0]] += 1
+    if not ranged:
+        return
     for name in ("f2", "f3"):
         for outcome in ("finite", "the crossing lies beyond float range", "below float range"):
             assert seen[name, outcome] > 0, seen

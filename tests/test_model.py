@@ -153,6 +153,21 @@ def test_config_to_dict_leaves_out_absent_overrides():
     assert raw["channel"] == {"gain": 1.0, "noise_psd": 1.0, "snr_down_db": 4.0}
 
 
+#: (section or None for the top level, key, value) edits of a valid raw
+#: config, where a value of None is JSON null, each with the violation it
+#: must report, or None where the edited dict must load like the one without
+#: the key
+RAW_CONFIG_EDITS = [
+    (None, "task_count", None, ("task_count", "missing")),
+    (None, "task_count", 3.0, ("task_count", "must be an integer")),
+    (None, "task_count", "3", ("task_count", "must be an integer")),
+    (None, "task_count", True, ("task_count", "must be an integer")),
+    (None, "device", None, ("device", "missing section")),
+    (None, "server", [4.0, 1.0], ("server", "must be an object")),
+    ("channel", "snr_up_db", None, None),
+]
+
+
 def test_unknown_and_missing_fields_collected():
     raw = config_to_dict(build_config())
     raw["bogus"] = 1
@@ -163,6 +178,18 @@ def test_unknown_and_missing_fields_collected():
         config_from_dict(raw)
     fields = {v.field for v in exc.value.violations}
     assert {"bogus", "task.bogus2", "device.cache_bits", "device.cpu_hz"} <= fields
+    for section, key, value, violation in RAW_CONFIG_EDITS:
+        raw = config_to_dict(build_config())
+        target = raw if section is None else raw[section]
+        target[key] = value
+        if violation is None:
+            loaded = config_from_dict(raw)
+            del target[key]
+            assert loaded == config_from_dict(raw), (section, key)
+            continue
+        with pytest.raises(InvalidConfigError) as exc:
+            config_from_dict(raw)
+        assert violation in [(v.field, v.reason) for v in exc.value.violations], (key, value)
 
 
 def test_validation_signs():

@@ -285,8 +285,6 @@ def test_run_verification_report():
     assert rep["max_rel_error"] <= rep["tolerance"] == 1e-9
     assert sum(rep["regimes"].values()) == 27
     assert rep["failures"] == []
-    # deterministic irrespective of worker count
-    assert run_verification(trials=27, seed=4, threads=3) == rep
 
 
 @pytest.mark.parametrize("make", [build_config, power_floor_config], ids=["k1>k2", "k1<k2"])

@@ -54,6 +54,10 @@ def test_dimensionless_rejects_units():
     (None, "bits"),
     ([1], "hz"),
     ("1 W/. kHz", "watts_per_hz"),  # a denominator that float() rejects
+    ("1.4 W", "watts_per_hz"),  # a PSD without a bandwidth
+    ("1 Hz/kHz", "watts_per_hz"),
+    ("1 W/s", "watts_per_hz"),
+    ("1 W/kHz", "bits"),
 ])
 def test_rejects_garbage(bad, dim):
     with pytest.raises(InvalidFieldError):
