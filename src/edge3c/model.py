@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 from .bounds import _HUGE, _TINY, _exact, _ratio
 from .errors import ConfigParseError, DegenerateChannelError, InvalidConfigError, InvalidFieldError
@@ -38,40 +38,63 @@ _LN2 = math.log(2.0)
 _MAX_CONFIG_BYTES = 1 << 20
 
 
-class TaskSpec(NamedTuple):
-    input_local_bits: float        # generated at the device
-    input_remote_bits: float       # originates remotely; cacheable
-    output_bits: float
-    cycles_per_bit: float
-    deadline_s: float
+# --- the configuration records ---------------------------------------------
+
+def _finite(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
-class DeviceParams(NamedTuple):
-    cpu_hz: float
-    switched_capacitance: float    # effective switched capacitance of the CPU
-    cache_bits: float
-    avg_power_w: float             # average power budget across the task set
-    uplink_psd: float              # transmit PSD, W/Hz
+def _nonneg(x) -> str | None:
+    if not _finite(x):
+        return "must be a finite number"
+    return "must be >= 0" if x < 0 else None
 
 
-class ServerParams(NamedTuple):
-    cpu_hz: float
-    downlink_psd: float            # W/Hz
+def _finite_pos(x) -> str | None:
+    return None if _finite(x) and x > 0 else "must be a finite number > 0"
 
 
-class ChannelParams(NamedTuple):
-    gain: float                    # amplitude gain; SNR uses gain^2
-    noise_psd: float               # W/Hz
-    snr_up_db: float | None = None     # optional overrides of the PSD
-    snr_down_db: float | None = None   # triple (see the module docstring)
+def _finite_if_present(x) -> str | None:
+    return None if x is None or _finite(x) else "must be a finite number when present"
 
 
-class SystemConfig(NamedTuple):
-    task_count: int
-    task: TaskSpec
-    device: DeviceParams
-    server: ServerParams
-    channel: ChannelParams
+#: section, record name, then each field's (name, unit dimension, rule), in
+#: field order: the one list of the config's fields. A rule gives the reason
+#: a value is invalid, or None; a field whose rule is _finite_if_present is
+#: optional, defaults to None, and comes after every required field.
+_FIELDS = (
+    ("task", "TaskSpec", (
+        ("input_local_bits", "bits", _nonneg),                 # generated at the device
+        ("input_remote_bits", "bits", _nonneg),                # originates remotely; cacheable
+        ("output_bits", "bits", _nonneg),
+        ("cycles_per_bit", "dimensionless", _nonneg),
+        ("deadline_s", "seconds", _finite_pos))),
+    ("device", "DeviceParams", (
+        ("cpu_hz", "hz", _finite_pos),
+        ("switched_capacitance", "dimensionless", _nonneg),    # effective switched capacitance of the CPU
+        ("cache_bits", "bits", _nonneg),
+        ("avg_power_w", "watts", _finite_pos),                 # average power budget across the task set
+        ("uplink_psd", "watts_per_hz", _finite_pos))),         # transmit PSD, W/Hz
+    ("server", "ServerParams", (
+        ("cpu_hz", "hz", _finite_pos),
+        ("downlink_psd", "watts_per_hz", _finite_pos))),       # W/Hz
+    ("channel", "ChannelParams", (
+        ("gain", "dimensionless", _finite_pos),                # amplitude gain; SNR uses gain^2
+        ("noise_psd", "watts_per_hz", _finite_pos),            # W/Hz
+        ("snr_up_db", "dimensionless", _finite_if_present),    # optional overrides of the PSD
+        ("snr_down_db", "dimensionless", _finite_if_present))),  # triple (see the module docstring)
+)
+#: one immutable record per section, in _FIELDS order
+_RECORDS = tuple(
+    namedtuple(record, [name for name, _, _ in fields], module=__name__,
+               defaults=[None for _, _, rule in fields if rule is _finite_if_present])
+    for _, record, fields in _FIELDS)
+TaskSpec, DeviceParams, ServerParams, ChannelParams = _RECORDS
+SystemConfig = namedtuple("SystemConfig", ["task_count", *(section for section, _, _ in _FIELDS)],
+                          module=__name__)
+#: dotted field name -> (unit dimension, rule)
+_FIELD_SPECS = {f"{section}.{name}": (dim, rule)
+                for section, _, fields in _FIELDS for name, dim, rule in fields}
 
 
 def spectral_efficiency(psd: float, gain: float, noise_psd: float) -> float:
@@ -155,24 +178,6 @@ def _power_draws(config: SystemConfig, tau: float, cpu_hz: float,
 
 # --- validation ------------------------------------------------------------
 
-def _finite(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
-
-
-def _nonneg(x) -> str | None:
-    if not _finite(x):
-        return "must be a finite number"
-    return "must be >= 0" if x < 0 else None
-
-
-def _finite_pos(x) -> str | None:
-    return None if _finite(x) and x > 0 else "must be a finite number > 0"
-
-
-def _finite_if_present(x) -> str | None:
-    return None if x is None or _finite(x) else "must be a finite number when present"
-
-
 def _task_count(n) -> str | None:
     if not isinstance(n, int) or isinstance(n, bool):
         return "must be an integer"
@@ -186,36 +191,6 @@ def _reason(rule, x) -> str | None:
         return rule(x)
     except OverflowError:  # from float() or math.isfinite
         return "must be within float range"
-
-
-#: section -> type -> (field, unit dimension, rule), in field order. A rule
-#: gives the reason a value is invalid, or None; a field whose rule is
-#: _finite_if_present is optional.
-_FIELDS = (
-    ("task", TaskSpec, (
-        ("input_local_bits", "bits", _nonneg),
-        ("input_remote_bits", "bits", _nonneg),
-        ("output_bits", "bits", _nonneg),
-        ("cycles_per_bit", "dimensionless", _nonneg),
-        ("deadline_s", "seconds", _finite_pos))),
-    ("device", DeviceParams, (
-        ("cpu_hz", "hz", _finite_pos),
-        ("switched_capacitance", "dimensionless", _nonneg),
-        ("cache_bits", "bits", _nonneg),
-        ("avg_power_w", "watts", _finite_pos),
-        ("uplink_psd", "watts_per_hz", _finite_pos))),
-    ("server", ServerParams, (
-        ("cpu_hz", "hz", _finite_pos),
-        ("downlink_psd", "watts_per_hz", _finite_pos))),
-    ("channel", ChannelParams, (
-        ("gain", "dimensionless", _finite_pos),
-        ("noise_psd", "watts_per_hz", _finite_pos),
-        ("snr_up_db", "dimensionless", _finite_if_present),
-        ("snr_down_db", "dimensionless", _finite_if_present))),
-)
-#: dotted field name -> (unit dimension, rule)
-_FIELD_SPECS = {f"{section}.{name}": (dim, rule)
-                for section, _, fields in _FIELDS for name, dim, rule in fields}
 
 
 def field_violation(dotted: str, value) -> InvalidFieldError | None:
@@ -260,10 +235,9 @@ def config_violations(config: SystemConfig) -> list[InvalidFieldError]:
     """All invariant violations of the config, in field order. Empty means valid."""
     reason = _reason(_task_count, config.task_count)
     v = [] if reason is None else [InvalidFieldError("task_count", reason)]
-    for section, _, fields in _FIELDS:
-        values = getattr(config, section)
-        for name, _, rule in fields:
-            reason = _reason(rule, getattr(values, name))
+    for (section, _, fields), values in zip(_FIELDS, config[1:]):
+        for (name, _, rule), value in zip(fields, values, strict=True):
+            reason = _reason(rule, value)
             if reason is not None:
                 v.append(InvalidFieldError(f"{section}.{name}", reason))
 
@@ -304,8 +278,8 @@ def config_from_dict(raw: dict) -> SystemConfig:
         violations.append(InvalidFieldError("task_count", "missing"))
         task_count = 1
 
-    sections = {}
-    for section, section_type, fields in _FIELDS:
+    sections = []
+    for (section, _, fields), record in zip(_FIELDS, _RECORDS):
         src = raw.get(section)
         if src is None:
             violations.append(InvalidFieldError(section, "missing section"))
@@ -313,32 +287,27 @@ def config_from_dict(raw: dict) -> SystemConfig:
         elif not isinstance(src, dict):
             violations.append(InvalidFieldError(section, "must be an object"))
             src = {}
-        values = {}
+        values = []
         for key in src:
             if f"{section}.{key}" not in _FIELD_SPECS:
                 violations.append(InvalidFieldError(f"{section}.{key}", "unknown field"))
         for name, dim, rule in fields:
             optional = rule is _finite_if_present
             if name not in src:
-                if optional:
-                    values[name] = None
-                else:
+                if not optional:
                     violations.append(InvalidFieldError(f"{section}.{name}", "missing"))
-                    values[name] = 1.0
-                continue
-            if src[name] is None and optional:
-                values[name] = None
-                continue
-            try:
-                values[name] = parse_quantity(src[name], dim, f"{section}.{name}")
-            except InvalidFieldError as exc:
-                violations.append(exc)
-                values[name] = 1.0
-        sections[section] = section_type(**values)
+                values.append(None if optional else 1.0)
+            elif src[name] is None and optional:
+                values.append(None)
+            else:
+                try:
+                    values.append(parse_quantity(src[name], dim, f"{section}.{name}"))
+                except InvalidFieldError as exc:
+                    violations.append(exc)
+                    values.append(1.0)
+        sections.append(record(*values))
 
-    config = SystemConfig(task_count=task_count, task=sections["task"],
-                          device=sections["device"], server=sections["server"],
-                          channel=sections["channel"])
+    config = SystemConfig(task_count, *sections)
     violations.extend(config_violations(config))
     if violations:
         raise InvalidConfigError(violations)
@@ -364,11 +333,10 @@ def load_config(path) -> SystemConfig:
 
 def config_to_dict(config: SystemConfig) -> dict:
     out = {"task_count": config.task_count}
-    for section, _, fields in _FIELDS:
-        values = getattr(config, section)
+    for (section, _, fields), values in zip(_FIELDS, config[1:]):
         # an absent optional field (an SNR override) is left out
-        out[section] = {name: getattr(values, name) for name, _, rule in fields
-                        if rule is not _finite_if_present or getattr(values, name) is not None}
+        out[section] = {name: value for (name, _, rule), value in zip(fields, values)
+                        if rule is not _finite_if_present or value is not None}
     return out
 
 

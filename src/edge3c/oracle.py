@@ -183,18 +183,16 @@ def run_verification(trials: int = 1000, seed: int = 0, tolerance: float = 1e-9)
     """Compare the closed-form policy against the enumeration oracle on
     ``trials`` stratified random configs; deterministic for a given seed.
 
-    ``trials`` must lie in [1, MAX_TRIALS] and ``seed`` must be >= 0; both
-    are checked before any config is drawn.
+    ``trials`` must be an integer in [1, MAX_TRIALS] and ``seed`` an
+    integer >= 0; both are checked before any config is drawn.
     """
     from .policy import _scalars, solve_with_costs
-    from .sampling import sample_config
+    from .sampling import _require_int, sample_config
 
-    if trials < 1:
-        raise InvalidFieldError("trials", "must be >= 1")
+    _require_int("trials", trials, 1)
     if trials > MAX_TRIALS:
         raise TooLargeError("trials", trials, MAX_TRIALS)
-    if seed < 0:
-        raise InvalidFieldError("seed", "must be >= 0")
+    _require_int("seed", seed, 0)
 
     def one(trial: int) -> tuple[float, str]:
         config = sample_config(seed, trial)  # already validated

@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import math
 
+from .errors import InvalidFieldError
 from .model import (
     ChannelParams,
     DeviceParams,
@@ -45,10 +46,17 @@ _POOL_SIZE = 4
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
+def _require_int(name: str, n, least: int) -> None:
+    """Raise InvalidFieldError unless ``n`` is an integer >= ``least``; a
+    bool is not one, as for the task count."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise InvalidFieldError(name, "must be an integer")
+    if n < least:
+        raise InvalidFieldError(name, f"must be >= {least}")
+
+
 def _uint32_words(n: int) -> list[int]:
-    """``n`` as little-endian 32-bit words; ``[0]`` for 0."""
-    if n < 0:
-        raise ValueError(f"expected a non-negative integer, got {n}")
+    """The integer ``n`` >= 0 as little-endian 32-bit words; ``[0]`` for 0."""
     words = [n & _MASK32]
     n >>= 32
     while n:
@@ -166,7 +174,10 @@ class _Pcg64:
 
 
 def sample_config(seed: int, trial: int) -> SystemConfig:
-    """Validated random config targeting regime ``REGIMES[trial % 9]``."""
+    """Validated random config targeting regime ``REGIMES[trial % 9]``;
+    ``seed`` and ``trial`` are integers >= 0."""
+    _require_int("seed", seed, 0)
+    _require_int("trial", trial, 0)
     rng = _Pcg64(seed, trial)
     target = REGIMES[trial % 9]
     k1_gt, b3_gt, detail = target.k1_gt_k2, target.b3_gt_b2, target.detail

@@ -1,10 +1,13 @@
+import hashlib
 import json
 import math
+import pickle
 
 import pytest
 
 from edge3c import (
     REGIMES,
+    ChannelParams,
     ConfigParseError,
     DegenerateChannelError,
     InvalidConfigError,
@@ -241,6 +244,18 @@ def test_replace_field():
     assert cfg.device.cpu_hz == 2.0  # original untouched
 
 
+def test_config_records_keep_their_module_defaults_and_repr():
+    cfg = load_config(CONFIG_DIR / "reference.json")
+    for record in (cfg, *cfg[1:]):
+        assert type(record).__module__ == "edge3c.model"
+    assert ChannelParams._field_defaults == {"snr_up_db": None, "snr_down_db": None}
+    assert ChannelParams(1.0, 2.0) == (1.0, 2.0, None, None)
+    # the repr of the reference config, as the records printed it when they
+    # were typing.NamedTuple classes
+    assert hashlib.sha256(repr(cfg).encode()).hexdigest() == (
+        "49bce21a5993b7cce51e587eb1b6e88bd1a6319ee9dbbe24bf12b779c5e6f970")
+
+
 @pytest.fixture(scope="module")
 def records():
     """One instance of each of the package's record types, by type name."""
@@ -266,3 +281,5 @@ def test_records_are_immutable(records, name):
     assert getattr(record, field) is before
     # a record is a tuple of its fields, and compares equal to one
     assert record == tuple(record)
+    copy = pickle.loads(pickle.dumps(record))
+    assert type(copy) is type(record) and copy == record

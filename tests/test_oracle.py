@@ -278,6 +278,23 @@ def test_sampler_oracle_and_verify_output_are_pinned():
         assert hashlib.sha256(stdout.encode()).hexdigest() == digest, seed
 
 
+@pytest.mark.parametrize("call, kwargs, field, reason", [
+    (sample_config, {"seed": -1, "trial": 0}, "seed", "must be >= 0"),
+    (sample_config, {"seed": 0, "trial": -1}, "trial", "must be >= 0"),
+    (sample_config, {"seed": 1.5, "trial": 0}, "seed", "must be an integer"),
+    (sample_config, {"seed": 0, "trial": True}, "trial", "must be an integer"),
+    (run_verification, {"seed": 1.5}, "seed", "must be an integer"),
+    (run_verification, {"seed": False}, "seed", "must be an integer"),
+    (run_verification, {"trials": 2.5}, "trials", "must be an integer"),
+    (run_verification, {"trials": True}, "trials", "must be an integer"),
+], ids=["negative-seed", "negative-trial", "float-seed", "bool-trial",
+        "verify-float-seed", "verify-bool-seed", "verify-float-trials", "verify-bool-trials"])
+def test_sampler_and_verify_reject_a_bad_seed_or_trial_up_front(call, kwargs, field, reason):
+    with pytest.raises(InvalidFieldError) as info:
+        call(**kwargs)
+    assert (info.value.field, info.value.reason) == (field, reason)
+
+
 def test_run_verification_report():
     rep = run_verification(trials=27, seed=4)
     assert rep["pass"] is True
