@@ -178,6 +178,14 @@ def _power_draws(config: SystemConfig, tau: float, cpu_hz: float,
 
 # --- validation ------------------------------------------------------------
 
+def _require_int(name: str, n, least: int) -> None:
+    """Raise InvalidFieldError unless ``n`` is an integer >= ``least``, and not a bool."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise InvalidFieldError(name, "must be an integer")
+    if n < least:
+        raise InvalidFieldError(name, f"must be >= {least}")
+
+
 def _task_count(n) -> str | None:
     if not isinstance(n, int) or isinstance(n, bool):
         return "must be an integer"

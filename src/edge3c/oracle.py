@@ -20,7 +20,7 @@ from typing import NamedTuple
 from .bandwidth import RouteCosts, route_costs
 from .bounds import TIE_REL, cache_task_capacity, counts_within_power_budget, within_budget
 from .errors import InfeasibleError, InvalidFieldError, TooLargeError
-from .model import SystemConfig, validate_config
+from .model import SystemConfig, _nonneg, _reason, _require_int, validate_config
 from .parallel import ordered_map
 
 #: largest ``trials`` run_verification accepts: ten times the paper's
@@ -183,16 +183,18 @@ def run_verification(trials: int = 1000, seed: int = 0, tolerance: float = 1e-9)
     """Compare the closed-form policy against the enumeration oracle on
     ``trials`` stratified random configs; deterministic for a given seed.
 
-    ``trials`` must be an integer in [1, MAX_TRIALS] and ``seed`` an
-    integer >= 0; both are checked before any config is drawn.
+    ``trials`` must be an integer in [1, MAX_TRIALS], ``seed`` an integer >= 0
+    and ``tolerance`` a finite number >= 0, checked before any config is drawn.
     """
     from .policy import _scalars, solve_with_costs
-    from .sampling import _require_int, sample_config
+    from .sampling import sample_config
 
     _require_int("trials", trials, 1)
     if trials > MAX_TRIALS:
         raise TooLargeError("trials", trials, MAX_TRIALS)
     _require_int("seed", seed, 0)
+    if (reason := _reason(_nonneg, tolerance)) is not None:
+        raise InvalidFieldError("tolerance", reason)
 
     def one(trial: int) -> tuple[float, str]:
         config = sample_config(seed, trial)  # already validated

@@ -198,8 +198,7 @@ def solve_with_costs(f: int, q: int, avg_power_w: float, costs: RouteCosts) -> P
     """solve_optimal for a config already validated, from the three scalars
     it reads besides the route costs: the task count F, the cache capacity
     Q in tasks (``bounds.cache_task_capacity`` of the cache size C, the
-    remote input size I_remote and F) and the power budget Pbar. A sweep
-    point passes its swept value in place of the config's own."""
+    remote input size I_remote and F) and the power budget Pbar."""
     decision = _decide(f, _facts(f, q, avg_power_w, costs))
     if isinstance(decision, InfeasibleError):
         raise decision

@@ -38,6 +38,7 @@ from .errors import InfeasibleError, InvalidFieldError, TooLargeError
 from .model import (
     SystemConfig,
     _draws_violation,
+    _require_int,
     downlink_spectral_efficiency,
     field_violation,
     validate_config,
@@ -164,12 +165,14 @@ class SweepSpec(NamedTuple):
         if self.parameter not in SWEEP_PARAMETERS:
             raise InvalidFieldError("parameter",
                                     f"must be one of {sorted(SWEEP_PARAMETERS)}, got {self.parameter!r}")
-        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+        ends = (self.start, self.stop)
+        if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in ends):
+            raise InvalidFieldError("start/stop", "must be numbers")
+        if not all(-_HUGE <= x <= _HUGE for x in ends):  # NaN, inf or an integer past float range
             raise InvalidFieldError("start/stop", "must be finite")
         if not self.start < self.stop:
             raise InvalidFieldError("start/stop", "start must be < stop")
-        if self.steps < 2:
-            raise InvalidFieldError("steps", "must be >= 2")
+        _require_int("steps", self.steps, 2)
         if self.steps > MAX_SWEEP_STEPS:
             raise TooLargeError("steps", self.steps, MAX_SWEEP_STEPS)
         if self.log_scale and self.start <= 0:

@@ -4,10 +4,15 @@ build_config defaults describe a 10-task system with 0 dB overrides on both
 links (spectral efficiency exactly 1 bit/s/Hz) chosen so every derived scalar
 is an exact small float: k1 = 2, k2 = 1, B2 = 1, B3 = 2, cache capacity 3.
 Tests override individual fields to steer the solver into specific branches.
+
+numpy_sample_config feeds the stratified sampler's construction numpy's PCG64
+stream, on which the pins of sampled configs and of the answers on them were
+recorded.
 """
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from edge3c import (
@@ -19,6 +24,7 @@ from edge3c import (
     load_config,
     validate_config,
 )
+from edge3c.sampling import _draw
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 CONFIG_DIR = REPO_ROOT / "configs"
@@ -50,6 +56,26 @@ def build_config(*, task_count=10, input_local_bits=1.0, input_remote_bits=1.0,
     if validate:
         validate_config(config)
     return config
+
+
+class _NumpyStream:
+    """numpy's ``Generator(PCG64(SeedSequence(entropy=seed, spawn_key=(trial,))))``
+    behind the two methods the sampler calls, returning plain Python numbers."""
+
+    def __init__(self, seed: int, trial: int):
+        seq = np.random.SeedSequence(entropy=seed, spawn_key=(trial,))
+        self.gen = np.random.Generator(np.random.PCG64(seq))
+
+    def uniform(self, lo: float, hi: float) -> float:
+        return float(self.gen.uniform(lo, hi))
+
+    def randrange(self, lo: int, hi: int) -> int:
+        return int(self.gen.integers(lo, hi))
+
+
+def numpy_sample_config(seed: int, trial: int) -> SystemConfig:
+    """sample_config(seed, trial) as drawn from numpy's PCG64 stream."""
+    return _draw(_NumpyStream(seed, trial), trial)
 
 
 def power_floor_config() -> SystemConfig:

@@ -66,13 +66,14 @@ def test_solve_output_file(tmp_path, capsys):
 
 
 def test_regions_shape(capsys):
-    assert main(["regions", "--config", REFCFG]) == 0
+    assert main(["regions", "--config", REFCFG, "--human"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["regime"] == "k1>k2/B3>B2/power-ample"
     assert out["k1_gt_k2"] is True and out["b3_gt_b2"] is True
     assert out["binding"] == ["cache"]
     assert out["cache_capacity_tasks"] == 200
     assert out["task_count"] == 300
+    assert out["human"] == {"b2": "17.02 MHz", "b3": "18.24 MHz"}
 
 
 def test_turning_points_shape(capsys):
@@ -316,11 +317,12 @@ def test_import_loads_neither_dataclasses_nor_the_pool():
 
 
 def test_loading_a_config_needs_neither_pathlib_nor_the_warning_machinery():
-    # linecache and tokenize come with the first warning shown, and fractions
-    # with f3's exact radicand, which only a config at the float edges takes
+    # linecache and tokenize come with the first warning shown, fractions
+    # with f3's exact radicand, which only a config at the float edges takes,
+    # and random with verify's sampler
     commands = [c for config in SHIPPED_CONFIGS for c in config_commands(config)]
     assert not modules_loaded_by(*commands, clean=True) & {"pathlib", "linecache", "tokenize",
-                                                           "fractions"}
+                                                           "fractions", "random"}
 
 
 @pytest.mark.parametrize("config", SHIPPED_CONFIGS, ids=lambda path: path.stem)
@@ -355,6 +357,14 @@ def test_trial_and_step_bounds_checked_before_any_work(monkeypatch, capsys, argv
     assert strict_json(capsys.readouterr().out)["error"] == error
 
 
+def test_sweep_end_past_float_range_exits_1(capsys):
+    # "1e400" parses to inf
+    assert main(["sweep", "--config", REFCFG, "--param", "cache_bits", "--start", "1e400",
+                 "--stop", "2", "--steps", "3"]) == 1
+    assert strict_json(capsys.readouterr().out) == {"error": "invalid_field",
+                                                    "detail": "start/stop: must be finite"}
+
+
 def test_huge_snr_solves_without_traceback(tmp_path):
     raw = json.loads((CONFIG_DIR / "reference.json").read_text())
     raw["channel"]["snr_up_db"] = 4000
@@ -379,6 +389,9 @@ def test_dead_downlink_prints_valid_json(tmp_path, capsys):
         out = strict_json(capsys.readouterr().out)
         assert out["routes"]["a2_hz_s"] is None
         assert out["routes"]["route3_feasible"] is False
+    # with neither transfer route costed, --human has no bandwidth to format
+    assert main(["regions", "--config", str(path), "--human"]) == 0
+    assert strict_json(capsys.readouterr().out)["human"] == {"b2": None, "b3": None}
 
 
 FLOAT_RANGE_COMMANDS = (

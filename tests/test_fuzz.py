@@ -80,6 +80,7 @@ from edge3c.bounds import (
     power_within_budget,
 )
 from edge3c.model import config_violations
+from conftest import numpy_sample_config
 
 SEED = 20201
 COUNT = 4000
@@ -352,20 +353,21 @@ def test_turning_points_return_on_wide_range_configs():
 @pytest.mark.parametrize("sampler, seed, count", [
     (wide_config, WIDE_SEED, WIDE_COUNT),
     (full_config, FULL_SEED, FULL_COUNT),
-    # the one in-range draw sample_config(2, 485), where F = 4, Pbar = 0.0166 W
-    # and F*k2 = 0.0411 W: f3's float sum cancels and prints 197372.39417893725
-    # Hz, 264 ulps below the correctly rounded 197372.39417894493 Hz
-    pytest.param(sample_config, 2, 485, marks=pytest.mark.xfail(strict=True, reason=(
-        "CHANGES.md FOUND: turning_points keeps f3's float sum on in-range configs, "
-        "and that sum loses digits where its terms cancel"))),
+    # the one in-range draw sample_config(2, 485) on numpy's stream, where
+    # F = 4, Pbar = 0.0166 W and F*k2 = 0.0411 W: f3's float sum cancels and
+    # prints 197372.39417893725 Hz, 264 ulps below the correctly rounded
+    # 197372.39417894493 Hz
+    pytest.param(numpy_sample_config, 2, 485, id="sample_config-2-485", marks=pytest.mark.xfail(
+        strict=True, reason=("CHANGES.md FOUND: turning_points keeps f3's float sum on in-range "
+                             "configs, and that sum loses digits where its terms cancel"))),
 ])
 def test_turning_points_f2_and_f3_are_exact(sampler, seed, count):
     """Every printed f2 and f3 is within 2 ulps of its formula in exact
     arithmetic, and every float-range or offload-only reason is true of it.
     A sample_config case checks its one draw, trial ``count`` of ``seed``."""
     seen = Counter()
-    ranged = sampler is not sample_config
-    for config in valid_draws(sampler, seed, count) if ranged else [sample_config(seed, count)]:
+    ranged = sampler is not numpy_sample_config
+    for config in valid_draws(sampler, seed, count) if ranged else [sampler(seed, count)]:
         tp = turning_points(config)
         for name, hz, exact in (("f2", tp.f2_hz, f2_exact), ("f3", tp.f3_hz, f3_exact)):
             reason = tp.absence_reasons.get(name, "")

@@ -168,6 +168,11 @@ RAW_CONFIG_EDITS = [
     (None, "device", None, ("device", "missing section")),
     (None, "server", [4.0, 1.0], ("server", "must be an object")),
     ("channel", "snr_up_db", None, None),
+    # json.loads accepts the non-standard literals NaN, Infinity and -Infinity
+    ("task", "output_bits", json.loads("NaN"), ("task.output_bits", "must be a finite number")),
+    ("device", "cache_bits", json.loads("Infinity"), ("device.cache_bits", "must be a finite number")),
+    ("task", "cycles_per_bit", json.loads("-Infinity"),
+     ("task.cycles_per_bit", "must be a finite number")),
 ]
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 import tracemalloc
 from collections import Counter
@@ -29,8 +30,7 @@ from edge3c import (
 )
 from edge3c.bounds import TIE_REL, cache_task_capacity, power_within_budget
 from edge3c.oracle import OracleSolution
-from edge3c.sampling import _Pcg64
-from conftest import CONFIG_DIR, build_config, power_floor_config
+from conftest import CONFIG_DIR, build_config, numpy_sample_config, power_floor_config
 from test_fuzz import fuzz_config
 
 
@@ -141,33 +141,6 @@ def test_lattice_oracle_equals_a_scan_of_every_cell():
     assert min(seen["infeasible"], seen["unique"], seen["ties"], seen["every split ties"]) > 0, seen
 
 
-def test_pcg64_port_matches_numpy():
-    rng = random.Random(64)
-    edges = (0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 7)
-    pairs = [(seed, trial) for seed in edges for trial in edges]
-    pairs += [(rng.getrandbits(rng.choice((8, 32, 40, 140))), rng.getrandbits(rng.choice((4, 20, 33, 70))))
-              for _ in range(1000)]
-    for seed, trial in pairs:
-        ours = _Pcg64(seed, trial)
-        theirs = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed,
-                                                                           spawn_key=(trial,))))
-        # integer draws read the 32-bit half that an earlier one buffered,
-        # across any random and uniform draws in between
-        for _ in range(12):
-            kind = rng.randrange(3)
-            if kind == 0:
-                lo = rng.randrange(-100, 100)
-                hi = lo + rng.choice((1, 2, rng.randrange(1, 300), rng.randrange(1, 2**32 - 1)))
-                assert ours.integers(lo, hi) == theirs.integers(lo, hi), (seed, trial)
-            elif kind == 1:
-                # uniform(0, 1) is the bare [0, 1) double: 0 + 1 * r == r
-                assert ours.uniform(0.0, 1.0) == theirs.random(), (seed, trial)
-            else:
-                lo = rng.uniform(-5.0, 5.0)
-                hi = lo + rng.uniform(0.0, 50.0)
-                assert ours.uniform(lo, hi) == theirs.uniform(lo, hi), (seed, trial)
-
-
 def test_verification_validates_and_costs_each_trial_once(monkeypatch):
     # the sampler returns validated configs; neither solver validates again,
     # and both work from one route_costs result
@@ -196,11 +169,17 @@ def test_oracles_agree_on_power_infeasibility():
 
 
 def test_oracles_agree_on_latency_infeasibility():
-    cfg = build_config(cpu_hz=0.5, server_cpu_hz=1.0)
-    for solver in (solve_optimal, enumerate_optimal, enumerate_per_task):
-        with pytest.raises(InfeasibleError) as exc:
-            solver(cfg)
-        assert exc.value.constraint == "latency"
+    # no route meets the deadline; or only route 1 does (local compute takes
+    # the whole deadline, and so does the server's), and the cache holds 3
+    # of the 10 tasks
+    only_route1 = build_config(cpu_hz=1.0, server_cpu_hz=1.0)
+    costs = route_costs(only_route1)
+    assert (costs.route1_feasible, costs.route12_feasible, costs.route3_feasible) == (True, False, False)
+    for cfg in (build_config(cpu_hz=0.5, server_cpu_hz=1.0), only_route1):
+        for solver in (solve_optimal, enumerate_optimal, enumerate_per_task):
+            with pytest.raises(InfeasibleError) as exc:
+                solver(cfg)
+            assert exc.value.constraint == "latency"
 
 
 def test_latency_beats_power_with_oversized_cache():
@@ -247,6 +226,9 @@ def test_sampler_is_deterministic_and_valid():
     assert a == b
     assert sample_config(11, 8) != a
     assert sample_config(12, 7) != a
+    # the seed string is hexadecimal: a seed past the interpreter's limit on
+    # decimal digits still draws
+    assert sample_config(10**5000, 3) != sample_config(10**5000 + 1, 3)
     # every draw solves (sampling only emits feasible systems)
     for trial in range(18):
         solve_optimal(sample_config(0, trial))
@@ -260,12 +242,14 @@ def test_sampler_covers_all_nine_regimes():
 
 
 def test_sampler_oracle_and_verify_output_are_pinned():
-    # the sampler's draw sequence is a compatibility surface, and a speed-up
-    # may not change a byte of the oracle's answers or of verify's stdout
+    # the sampler's construction is a compatibility surface, and a speed-up
+    # may not change a byte of the oracle's answers or of verify's stdout;
+    # the answers were recorded on numpy's stream, and verify's stdout holds
+    # the same bytes on the package's own
     sampled, solved = hashlib.sha256(), hashlib.sha256()
     for seed in range(3):
         for trial in range(1000):
-            config = sample_config(seed, trial)
+            config = numpy_sample_config(seed, trial)
             sampled.update(repr(config).encode())
             solved.update(repr(enumerate_optimal(config)).encode())
     assert sampled.hexdigest() == "88a71821450beeacb31d69603224318b1ff44739433df7e1df54b4d40781bbbb"
@@ -278,6 +262,24 @@ def test_sampler_oracle_and_verify_output_are_pinned():
         assert hashlib.sha256(stdout.encode()).hexdigest() == digest, seed
 
 
+def test_standard_library_stream_is_pinned():
+    # the package's own draws, which verify's stdout cannot show: seeds 0-2 x
+    # trials 0-999, and seeds and trials at and past the 32- and 64-bit edges
+    # (the CI smoke job hashes the same grid on each interpreter)
+    edges = [(seed, trial) for seed in (0, 1, 2**32, 2**64 + 5, 2**130 + 7)
+             for trial in (0, 1, 8, 2**33, 2**64 + 1)]
+    digest = hashlib.sha256()
+    for seed, trial in [(seed, trial) for seed in range(3) for trial in range(1000)] + edges:
+        digest.update(repr(sample_config(seed, trial)).encode() + b"\n")
+    assert digest.hexdigest() == "15e1c4cf23cb292d613a500cf9e825ba16e68c0903f1784386e93383c78d3a27"
+
+
+def validated_spec(**fields) -> SweepSpec:
+    """A cache_bits sweep over [0, 1e9] in 3 steps, with ``fields`` replaced, validated."""
+    return SweepSpec(**{"parameter": "cache_bits", "start": 0.0, "stop": 1e9, "steps": 3,
+                        **fields}).validate()
+
+
 @pytest.mark.parametrize("call, kwargs, field, reason", [
     (sample_config, {"seed": -1, "trial": 0}, "seed", "must be >= 0"),
     (sample_config, {"seed": 0, "trial": -1}, "trial", "must be >= 0"),
@@ -287,8 +289,21 @@ def test_sampler_oracle_and_verify_output_are_pinned():
     (run_verification, {"seed": False}, "seed", "must be an integer"),
     (run_verification, {"trials": 2.5}, "trials", "must be an integer"),
     (run_verification, {"trials": True}, "trials", "must be an integer"),
+    (run_verification, {"tolerance": math.nan}, "tolerance", "must be a finite number"),
+    (run_verification, {"tolerance": "1e-9"}, "tolerance", "must be a finite number"),
+    (run_verification, {"tolerance": -1e-9}, "tolerance", "must be >= 0"),
+    (validated_spec, {"steps": 3.0}, "steps", "must be an integer"),
+    (validated_spec, {"steps": "4"}, "steps", "must be an integer"),
+    (validated_spec, {"steps": 1}, "steps", "must be >= 2"),
+    (validated_spec, {"start": "0"}, "start/stop", "must be numbers"),
+    (validated_spec, {"stop": None}, "start/stop", "must be numbers"),
+    (validated_spec, {"stop": math.nan}, "start/stop", "must be finite"),
+    (validated_spec, {"start": -10**400}, "start/stop", "must be finite"),
 ], ids=["negative-seed", "negative-trial", "float-seed", "bool-trial",
-        "verify-float-seed", "verify-bool-seed", "verify-float-trials", "verify-bool-trials"])
+        "verify-float-seed", "verify-bool-seed", "verify-float-trials", "verify-bool-trials",
+        "verify-nan-tolerance", "verify-str-tolerance", "verify-negative-tolerance",
+        "sweep-float-steps", "sweep-str-steps", "sweep-one-step", "sweep-str-start",
+        "sweep-none-stop", "sweep-nan-stop", "sweep-int-start-past-float-range"])
 def test_sampler_and_verify_reject_a_bad_seed_or_trial_up_front(call, kwargs, field, reason):
     with pytest.raises(InvalidFieldError) as info:
         call(**kwargs)

@@ -21,7 +21,6 @@ from edge3c import (
     replace_field,
     route_costs,
     rows_to_csv,
-    sample_config,
     solve_optimal,
     sweep,
     turning_points,
@@ -29,7 +28,7 @@ from edge3c import (
 )
 from edge3c.policy import _facts, _scalars
 from edge3c.tradeoff import BASELINE_KINDS, INF_TOKEN, MAX_SWEEP_STEPS, SWEEP_PARAMETERS, SweepRow
-from conftest import build_config
+from conftest import build_config, numpy_sample_config
 from test_fuzz import fuzz_config, wide_config
 
 # 50-digit evaluations of the three turning points of the reference config
@@ -229,9 +228,9 @@ def test_turning_points_at_the_edges_of_their_branches():
 def test_turning_points_in_float_range_are_pinned():
     # where every partial result is normal, each point is its plain float
     # expression; the exact path must not move these: sample_config seeds
-    # 0-2 x trials 0-999, and the valid ones of 2,000 fuzz_config draws at
-    # each of two seeds
-    configs = [sample_config(seed, trial) for seed in range(3) for trial in range(1000)]
+    # 0-2 x trials 0-999 on numpy's stream, and the valid ones of 2,000
+    # fuzz_config draws at each of two seeds
+    configs = [numpy_sample_config(seed, trial) for seed in range(3) for trial in range(1000)]
     for seed in (20201, 20204):
         rng = random.Random(seed)
         configs += [c for c in (fuzz_config(rng) for _ in range(2000))
